@@ -1,17 +1,3 @@
-// Package client is the typed Go client for the coordination service:
-// one API over interchangeable transports. An "http://" or
-// "https://" base URL speaks the HTTP/JSON protocol; a "tcp://" (or
-// "binary://") base URL speaks the binary wire protocol
-// (internal/wire) over one persistent pipelined connection, which also
-// carries server-push notifications for parked arrivals. A
-// "cluster://host:port" base URL treats the address as a seed node of
-// a coordserve cluster: the client fetches the membership from
-// /v1/cluster, rebuilds the consistent-hash ring locally, and routes
-// every call straight to the owning node over one pooled binary
-// connection per node — refreshing the ring and re-routing once when
-// a node answers route_moved. All transports decode to the same
-// internal/api DTOs and produce the same typed *Error values, so
-// callers switch protocols by changing the URL and nothing else.
 package client
 
 import (
@@ -69,20 +55,14 @@ type Notification struct {
 	Seq     int
 }
 
-// transport is one wire protocol speaking the service's API. Both
-// implementations return identical DTOs and identical typed errors for
-// the same server state.
+// transport is one wire protocol speaking the service's API. Every
+// operation goes through call, driven by its wire.Op descriptor: req
+// points at the op's request struct (nil when it has none), rep at its
+// reply DTO (nil when it replies with a status alone). All transports
+// return identical DTOs and identical typed errors for the same server
+// state.
 type transport interface {
-	coordinate(ctx context.Context, reqs []api.Request) ([]api.Response, error)
-	createSession(ctx context.Context, id string, parkUnsafe bool) (string, error)
-	join(ctx context.Context, session string, q eq.Query) (api.Update, error)
-	leave(ctx context.Context, session, queryID string) (api.Update, error)
-	status(ctx context.Context, session string, trace bool) (*api.SessionStatus, error)
-	deleteSession(ctx context.Context, session string) error
-	health(ctx context.Context) (*api.Health, error)
-	recovery(ctx context.Context) (*api.RecoveryStatus, error)
-	metrics(ctx context.Context) (*api.Metrics, error)
-	tenants(ctx context.Context) (*api.TenantsStatus, error)
+	call(ctx context.Context, op *wire.Op, req, rep any) error
 	subscribe(ctx context.Context, session string, fn func(Notification)) (func(), error)
 	close() error
 }
@@ -152,10 +132,11 @@ type Response struct {
 // Per-request failures come back in the matching Response.Err; the
 // returned error covers transport and envelope failures only.
 func (c *Client) CoordinateBatch(ctx context.Context, reqs []Request) ([]Response, error) {
-	resps, err := c.t.coordinate(ctx, reqs)
+	rep, err := call[api.CoordinateResponse](ctx, c, wire.OpCoordinate, &wire.CoordinateReq{Requests: reqs})
 	if err != nil {
 		return nil, err
 	}
+	resps := rep.Responses
 	if len(resps) != len(reqs) {
 		return nil, fmt.Errorf("client: %d responses for %d requests", len(resps), len(reqs))
 	}
@@ -201,11 +182,11 @@ type Session struct {
 // asks the server to pick a name; parkUnsafe selects park-and-retry
 // admission for unsafe arrivals.
 func (c *Client) CreateSession(ctx context.Context, id string, parkUnsafe bool) (*Session, error) {
-	name, err := c.t.createSession(ctx, id, parkUnsafe)
+	rep, err := call[api.CreateSessionResponse](ctx, c, wire.OpCreateSession, &wire.CreateSessionReq{ID: id, ParkUnsafe: parkUnsafe})
 	if err != nil {
 		return nil, err
 	}
-	return &Session{c: c, ID: name}, nil
+	return &Session{c: c, ID: rep.ID}, nil
 }
 
 // Session returns a handle on an existing session by name, without a
@@ -217,25 +198,29 @@ func (c *Client) Session(id string) *Session { return &Session{c: c, ID: id} }
 // returns a typed error for which errors.Is(err,
 // coord.ErrUnsafeArrival) holds.
 func (s *Session) Join(ctx context.Context, q eq.Query) (api.Update, error) {
-	return s.c.t.join(ctx, s.ID, q)
+	var up api.Update
+	err := s.c.t.call(ctx, wire.OpJoin, &wire.JoinReq{Session: s.ID, Query: q}, &up)
+	return up, err
 }
 
 // Leave departs the live query with the given query ID.
 func (s *Session) Leave(ctx context.Context, queryID string) (api.Update, error) {
-	return s.c.t.leave(ctx, s.ID, queryID)
+	var up api.Update
+	err := s.c.t.call(ctx, wire.OpLeave, &wire.LeaveReq{Session: s.ID, QueryID: queryID}, &up)
+	return up, err
 }
 
 // Status reads the session's current state; includeTrace asks for the
 // full coordination trace (the one a traced batch run over the live
 // queries would produce).
 func (s *Session) Status(ctx context.Context, includeTrace bool) (*api.SessionStatus, error) {
-	return s.c.t.status(ctx, s.ID, includeTrace)
+	return call[api.SessionStatus](ctx, s.c, wire.OpStatus, &wire.StatusReq{Session: s.ID, Trace: includeTrace})
 }
 
 // Close deletes the session from the registry; its goroutine drains
 // and exits.
 func (s *Session) Close(ctx context.Context) error {
-	return s.c.t.deleteSession(ctx, s.ID)
+	return s.c.t.call(ctx, wire.OpDeleteSession, &wire.SessionReq{Session: s.ID}, nil)
 }
 
 // Subscribe registers fn for this session's push notifications: each
@@ -254,26 +239,35 @@ func (s *Session) Subscribe(ctx context.Context, fn func(Notification)) (func(),
 // with Status "draining" (the work endpoints are the ones that
 // reject).
 func (c *Client) Health(ctx context.Context) (*api.Health, error) {
-	return c.t.health(ctx)
+	return call[api.Health](ctx, c, wire.OpHealth, nil)
 }
 
 // Recovery reads /v1/recovery: what the server replayed from its
 // durable backend at startup. Enabled is false for an in-memory
 // server. HTTP only.
 func (c *Client) Recovery(ctx context.Context) (*api.RecoveryStatus, error) {
-	return c.t.recovery(ctx)
+	return call[api.RecoveryStatus](ctx, c, wire.OpRecovery, nil)
 }
 
 // Metrics reads /metrics. HTTP only.
 func (c *Client) Metrics(ctx context.Context) (*api.Metrics, error) {
-	return c.t.metrics(ctx)
+	return call[api.Metrics](ctx, c, wire.OpMetrics, nil)
 }
 
 // Tenants reads /v1/tenants: every tenant's effective admission policy
 // and live accounting (enabled=false when the server runs without
 // admission). HTTP only.
 func (c *Client) Tenants(ctx context.Context) (*api.TenantsStatus, error) {
-	return c.t.tenants(ctx)
+	return call[api.TenantsStatus](ctx, c, wire.OpTenants, nil)
+}
+
+// call runs one op whose reply decodes into an R.
+func call[R any](ctx context.Context, c *Client, op *wire.Op, req any) (*R, error) {
+	var rep R
+	if err := c.t.call(ctx, op, req, &rep); err != nil {
+		return nil, err
+	}
+	return &rep, nil
 }
 
 // IsRetryable reports whether an error may succeed on retry: a

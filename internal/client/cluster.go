@@ -10,7 +10,6 @@ import (
 
 	"entangled/internal/api"
 	"entangled/internal/cluster"
-	"entangled/internal/eq"
 	"entangled/internal/wire"
 )
 
@@ -79,39 +78,29 @@ func (t *clusterTransport) knownAddrs() []string {
 // refresh re-fetches the cluster status and rebuilds the ring, trying
 // every known node until one answers.
 func (t *clusterTransport) refresh(ctx context.Context) error {
-	var lastErr error
-	for _, addr := range t.knownAddrs() {
-		bt, err := t.connFor(addr)
-		if err != nil {
-			return err
-		}
-		var cs api.ClusterStatus
-		err = bt.call(ctx, wire.KindCluster, nil, func(_ int, d *wire.Dec) { cs = wire.GetClusterStatus(d) })
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if !cs.Enabled || len(cs.Nodes) == 0 {
-			return fmt.Errorf("client: %s is not part of a cluster", addr)
-		}
-		names := make([]string, len(cs.Nodes))
-		addrs := make(map[string]string, len(cs.Nodes))
-		for i, n := range cs.Nodes {
-			names[i] = n.Name
-			addrs[n.Name] = n.Addr
-		}
-		placement := make(map[string]int, len(cs.Relations))
-		for _, rp := range cs.Relations {
-			placement[rp.Relation] = rp.Column
-		}
-		t.mu.Lock()
-		t.ring = cluster.NewRing(names, cs.VirtualNodes)
-		t.addrs = addrs
-		t.placement = placement
-		t.mu.Unlock()
-		return nil
+	var cs api.ClusterStatus
+	if err := t.call(ctx, wire.OpCluster, nil, &cs); err != nil {
+		return fmt.Errorf("client: fetching cluster membership: %w", err)
 	}
-	return fmt.Errorf("client: fetching cluster membership: %w", lastErr)
+	if !cs.Enabled || len(cs.Nodes) == 0 {
+		return fmt.Errorf("client: %s is not part of a cluster", t.seed)
+	}
+	names := make([]string, len(cs.Nodes))
+	addrs := make(map[string]string, len(cs.Nodes))
+	for i, n := range cs.Nodes {
+		names[i] = n.Name
+		addrs[n.Name] = n.Addr
+	}
+	placement := make(map[string]int, len(cs.Relations))
+	for _, rp := range cs.Relations {
+		placement[rp.Relation] = rp.Column
+	}
+	t.mu.Lock()
+	t.ring = cluster.NewRing(names, cs.VirtualNodes)
+	t.addrs = addrs
+	t.placement = placement
+	t.mu.Unlock()
+	return nil
 }
 
 // view returns the current ring state, fetching it on first use.
@@ -131,11 +120,15 @@ func (t *clusterTransport) view(ctx context.Context) (*cluster.Ring, map[string]
 	return ring, placement, addrs, nil
 }
 
-// connForNode resolves a node name to its pooled transport.
-func (t *clusterTransport) connForNode(ctx context.Context, node string) (*binaryTransport, error) {
-	_, _, addrs, err := t.view(ctx)
+// ownerConn resolves the pooled transport of node, or of the node the
+// ring says owns session when node is empty.
+func (t *clusterTransport) ownerConn(ctx context.Context, session, node string) (*binaryTransport, error) {
+	ring, _, addrs, err := t.view(ctx)
 	if err != nil {
 		return nil, err
+	}
+	if node == "" {
+		node = ring.Owner(session)
 	}
 	addr, ok := addrs[node]
 	if !ok {
@@ -148,46 +141,62 @@ func (t *clusterTransport) connForNode(ctx context.Context, node string) (*binar
 // and on a route_moved reply (this client's ring was stale) refreshes
 // the ring and retries exactly once against the owner the server
 // named.
-func (t *clusterTransport) sessionCall(ctx context.Context, session string, fn func(tt *binaryTransport) error) error {
-	ring, _, _, err := t.view(ctx)
-	if err != nil {
-		return err
-	}
-	bt, err := t.connForNode(ctx, ring.Owner(session))
+func (t *clusterTransport) sessionCall(ctx context.Context, session string, fn func(*binaryTransport) error) error {
+	bt, err := t.ownerConn(ctx, session, "")
 	if err != nil {
 		return err
 	}
 	err = fn(bt)
 	var e *Error
-	if errors.As(err, &e) && e.Code == api.CodeRouteMoved {
-		if rerr := t.refresh(ctx); rerr != nil {
-			return err
-		}
-		owner := e.Owner
-		if owner == "" {
-			ring, _, _, verr := t.view(ctx)
-			if verr != nil {
-				return err
-			}
-			owner = ring.Owner(session)
-		}
-		bt2, cerr := t.connForNode(ctx, owner)
-		if cerr != nil {
-			return err
-		}
-		return fn(bt2)
+	if !errors.As(err, &e) || e.Code != api.CodeRouteMoved || t.refresh(ctx) != nil {
+		return err
+	}
+	if bt, cerr := t.ownerConn(ctx, session, e.Owner); cerr == nil {
+		return fn(bt)
 	}
 	return err
 }
 
-func (t *clusterTransport) coordinate(ctx context.Context, reqs []api.Request) ([]api.Response, error) {
+// call routes one op by its placement: a batch scatters across owners,
+// a session op goes to the session's owner (with one refresh-and-retry
+// on route_moved), and a local op — or a create that lets the server
+// name the session, which the serving node names self-owned — goes to
+// the first node that answers.
+func (t *clusterTransport) call(ctx context.Context, op *wire.Op, req, rep any) error {
+	switch op.Place {
+	case wire.PlaceBatch:
+		return t.scatter(ctx, req.(*wire.CoordinateReq).Requests, rep.(*api.CoordinateResponse))
+	case wire.PlaceSession, wire.PlaceOwner:
+		if name := *op.Session(req); name != "" {
+			return t.sessionCall(ctx, name, func(bt *binaryTransport) error { return bt.call(ctx, op, req, rep) })
+		}
+	}
+	var lastErr error
+	for _, addr := range t.knownAddrs() {
+		bt, err := t.connFor(addr)
+		if err != nil {
+			return err
+		}
+		err = bt.call(ctx, op, req, rep)
+		var e *Error
+		if err == nil || errors.As(err, &e) {
+			return err // served, or a service-level answer another node would repeat
+		}
+		lastErr = err
+	}
+	return lastErr
+}
+
+// scatter partitions a batch by owner exactly as the servers do and
+// scatter-gathers it client-side; a node that fails fails only its own
+// slice, inline.
+func (t *clusterTransport) scatter(ctx context.Context, reqs []api.Request, rep *api.CoordinateResponse) error {
 	ring, placement, addrs, err := t.view(ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// Partition by owner exactly as the servers do; a request with no
-	// single owner can be served (and, server-side, scatter-gathered)
-	// by any node, so spread those by request ID.
+	// A request with no single owner can be served (and, server-side,
+	// scatter-gathered) by any node, so spread those by request ID.
 	groups := map[string][]int{}
 	for i, rq := range reqs {
 		node, ok := cluster.OwnerOfQueries(ring, placement, rq.Queries)
@@ -223,7 +232,9 @@ func (t *clusterTransport) coordinate(ctx context.Context, reqs []api.Request) (
 				fail(err)
 				return
 			}
-			resps, err := bt.coordinate(ctx, sub)
+			var rep api.CoordinateResponse
+			err = bt.call(ctx, wire.OpCoordinate, &wire.CoordinateReq{Requests: sub}, &rep)
+			resps := rep.Responses
 			if err != nil || len(resps) != len(sub) {
 				if err == nil {
 					err = fmt.Errorf("%d responses for %d requests", len(resps), len(sub))
@@ -237,109 +248,8 @@ func (t *clusterTransport) coordinate(ctx context.Context, reqs []api.Request) (
 		}(node, idxs, sub)
 	}
 	wg.Wait()
-	return out, nil
-}
-
-func (t *clusterTransport) createSession(ctx context.Context, id string, parkUnsafe bool) (string, error) {
-	if id == "" {
-		// The serving node generates a name it owns, so the new session
-		// starts life correctly placed; route to any live node.
-		ring, _, _, err := t.view(ctx)
-		if err != nil {
-			return "", err
-		}
-		var name string
-		nodes := ring.Nodes()
-		var lastErr error
-		for _, node := range nodes {
-			bt, err := t.connForNode(ctx, node)
-			if err != nil {
-				return "", err
-			}
-			name, err = bt.createSession(ctx, id, parkUnsafe)
-			if err == nil {
-				return name, nil
-			}
-			lastErr = err
-			var e *Error
-			if errors.As(err, &e) {
-				return "", err // service-level: another node would say the same
-			}
-		}
-		return "", lastErr
-	}
-	var name string
-	err := t.sessionCall(ctx, id, func(bt *binaryTransport) error {
-		var err error
-		name, err = bt.createSession(ctx, id, parkUnsafe)
-		return err
-	})
-	return name, err
-}
-
-func (t *clusterTransport) join(ctx context.Context, session string, q eq.Query) (api.Update, error) {
-	var up api.Update
-	err := t.sessionCall(ctx, session, func(bt *binaryTransport) error {
-		var err error
-		up, err = bt.join(ctx, session, q)
-		return err
-	})
-	return up, err
-}
-
-func (t *clusterTransport) leave(ctx context.Context, session, queryID string) (api.Update, error) {
-	var up api.Update
-	err := t.sessionCall(ctx, session, func(bt *binaryTransport) error {
-		var err error
-		up, err = bt.leave(ctx, session, queryID)
-		return err
-	})
-	return up, err
-}
-
-func (t *clusterTransport) status(ctx context.Context, session string, trace bool) (*api.SessionStatus, error) {
-	var st *api.SessionStatus
-	err := t.sessionCall(ctx, session, func(bt *binaryTransport) error {
-		var err error
-		st, err = bt.status(ctx, session, trace)
-		return err
-	})
-	return st, err
-}
-
-func (t *clusterTransport) deleteSession(ctx context.Context, session string) error {
-	return t.sessionCall(ctx, session, func(bt *binaryTransport) error {
-		return bt.deleteSession(ctx, session)
-	})
-}
-
-func (t *clusterTransport) health(ctx context.Context) (*api.Health, error) {
-	// Health is a per-node surface; report the first reachable node's.
-	var lastErr error
-	for _, addr := range t.knownAddrs() {
-		bt, err := t.connFor(addr)
-		if err != nil {
-			return nil, err
-		}
-		h, err := bt.health(ctx)
-		if err == nil {
-			return h, nil
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-func (t *clusterTransport) recovery(context.Context) (*api.RecoveryStatus, error) {
-	return nil, fmt.Errorf("client: the recovery endpoint is served over HTTP only")
-}
-
-func (t *clusterTransport) metrics(context.Context) (*api.Metrics, error) {
-	return nil, fmt.Errorf("client: the metrics endpoint is served over HTTP only")
-}
-
-func (t *clusterTransport) tenants(context.Context) (*api.TenantsStatus, error) {
-	return nil, fmt.Errorf("client: the tenants endpoint is served over HTTP only")
+	rep.Responses = out
+	return nil
 }
 
 func (t *clusterTransport) subscribe(ctx context.Context, session string, fn func(Notification)) (func(), error) {

@@ -9,10 +9,11 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"entangled/internal/api"
-	"entangled/internal/eq"
+	"entangled/internal/wire"
 )
 
 // httpTransport speaks the HTTP/JSON protocol.
@@ -22,29 +23,41 @@ type httpTransport struct {
 	tenant string
 }
 
-// do runs one round trip: encode in (when non-nil), decode a 2xx body
-// into out (when non-nil), and turn every non-2xx into a typed *Error
-// from the wire envelope.
-func (t *httpTransport) do(ctx context.Context, method, path string, in, out any) error {
+// call runs one round trip. The op maps onto its route — the session
+// name fills the {id} segment, the flag becomes ?trace=1 — and a POST
+// sends the request as its JSON body; a 2xx body decodes into rep
+// (when non-nil), and every non-2xx becomes a typed *Error from the
+// wire envelope.
+func (t *httpTransport) call(ctx context.Context, op *wire.Op, req, rep any) error {
+	if op.Method == "" {
+		return fmt.Errorf("client: the %s operation requires the binary protocol", op.Name)
+	}
+	method, path := op.Method, op.Route
+	if op.Session != nil {
+		path = strings.Replace(path, "{id}", url.PathEscape(*op.Session(req)), 1)
+	}
+	if op.Flag != nil && *op.Flag(req) {
+		path += "?trace=1"
+	}
 	var body io.Reader
-	if in != nil {
-		buf, err := json.Marshal(in)
+	if method == http.MethodPost {
+		buf, err := json.Marshal(req)
 		if err != nil {
 			return fmt.Errorf("client: encoding request: %w", err)
 		}
 		body = bytes.NewReader(buf)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, t.base+path, body)
+	hreq, err := http.NewRequestWithContext(ctx, method, t.base+path, body)
 	if err != nil {
 		return fmt.Errorf("client: building request: %w", err)
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		hreq.Header.Set("Content-Type", "application/json")
 	}
 	if t.tenant != "" {
-		req.Header.Set(api.TenantHeader, t.tenant)
+		hreq.Header.Set(api.TenantHeader, t.tenant)
 	}
-	resp, err := t.hc.Do(req)
+	resp, err := t.hc.Do(hreq)
 	if err != nil {
 		return fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
@@ -67,93 +80,13 @@ func (t *httpTransport) do(ctx context.Context, method, path string, in, out any
 		return &Error{Status: resp.StatusCode, Code: env.Error.Code, Message: env.Error.Message,
 			Owner: env.Error.Owner, RetryAfter: retryAfter}
 	}
-	if out == nil {
+	if rep == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(rep); err != nil {
 		return fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
 	}
 	return nil
-}
-
-func (t *httpTransport) coordinate(ctx context.Context, reqs []api.Request) ([]api.Response, error) {
-	var resp api.CoordinateResponse
-	if err := t.do(ctx, http.MethodPost, "/v1/coordinate", api.CoordinateRequest{Requests: reqs}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Responses, nil
-}
-
-func (t *httpTransport) createSession(ctx context.Context, id string, parkUnsafe bool) (string, error) {
-	var resp api.CreateSessionResponse
-	err := t.do(ctx, http.MethodPost, "/v1/sessions",
-		api.CreateSessionRequest{ID: id, ParkUnsafe: parkUnsafe}, &resp)
-	if err != nil {
-		return "", err
-	}
-	return resp.ID, nil
-}
-
-func (t *httpTransport) join(ctx context.Context, session string, q eq.Query) (api.Update, error) {
-	var up api.Update
-	err := t.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(session)+"/join",
-		api.JoinRequest{Query: q}, &up)
-	return up, err
-}
-
-func (t *httpTransport) leave(ctx context.Context, session, queryID string) (api.Update, error) {
-	var up api.Update
-	err := t.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(session)+"/leave",
-		api.LeaveRequest{ID: queryID}, &up)
-	return up, err
-}
-
-func (t *httpTransport) status(ctx context.Context, session string, trace bool) (*api.SessionStatus, error) {
-	path := "/v1/sessions/" + url.PathEscape(session)
-	if trace {
-		path += "?trace=1"
-	}
-	var st api.SessionStatus
-	if err := t.do(ctx, http.MethodGet, path, nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-func (t *httpTransport) deleteSession(ctx context.Context, session string) error {
-	return t.do(ctx, http.MethodDelete, "/v1/sessions/"+url.PathEscape(session), nil, nil)
-}
-
-func (t *httpTransport) health(ctx context.Context) (*api.Health, error) {
-	var h api.Health
-	if err := t.do(ctx, http.MethodGet, "/healthz", nil, &h); err != nil {
-		return nil, err
-	}
-	return &h, nil
-}
-
-func (t *httpTransport) recovery(ctx context.Context) (*api.RecoveryStatus, error) {
-	var rs api.RecoveryStatus
-	if err := t.do(ctx, http.MethodGet, "/v1/recovery", nil, &rs); err != nil {
-		return nil, err
-	}
-	return &rs, nil
-}
-
-func (t *httpTransport) metrics(ctx context.Context) (*api.Metrics, error) {
-	var m api.Metrics
-	if err := t.do(ctx, http.MethodGet, "/metrics", nil, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-func (t *httpTransport) tenants(ctx context.Context) (*api.TenantsStatus, error) {
-	var ts api.TenantsStatus
-	if err := t.do(ctx, http.MethodGet, "/v1/tenants", nil, &ts); err != nil {
-		return nil, err
-	}
-	return &ts, nil
 }
 
 func (t *httpTransport) subscribe(context.Context, string, func(Notification)) (func(), error) {

@@ -181,16 +181,10 @@ func (r *Router) Forward(ctx context.Context, node string, kind wire.Kind, encod
 		return 0, nil, fmt.Errorf("cluster: %q is not a peer of %s", node, r.cfg.Self)
 	}
 	p.forwards.Add(1)
-	fwd := func(e *wire.Enc) {
-		e.String(r.cfg.Self)
-		e.Int(1)
-		e.Byte(byte(kind))
-		var inner wire.Enc
-		encode(&inner)
-		e.Uvarint(uint64(len(inner.Bytes())))
-		e.Raw(inner.Bytes())
-	}
-	status, body, err = p.conn.Call(ctx, wire.KindForward, fwd)
+	var inner wire.Enc
+	encode(&inner)
+	status, body, err = p.conn.Call(ctx, wire.KindForward,
+		wire.Forward{Origin: r.cfg.Self, Hops: 1, Kind: kind, Body: inner.Bytes()}.Encode)
 	var re *wire.ReplyError
 	switch {
 	case err == nil || errors.As(err, &re):

@@ -2,27 +2,10 @@ package server
 
 import (
 	"context"
-	"errors"
-	"net/http"
 
 	"entangled/internal/api"
 	"entangled/internal/wire"
 )
-
-// remoteOwner reports the peer node owning a session name, ok=false
-// when this node serves it itself (standalone server, or the ring says
-// the session is ours).
-func (s *Server) remoteOwner(session string) (string, bool) {
-	c := s.opts.Cluster
-	if c == nil {
-		return "", false
-	}
-	owner := c.Owner(session)
-	if owner == c.Self() {
-		return "", false
-	}
-	return owner, true
-}
 
 // serveBatchRouted is the cluster-aware batch path: a standalone server
 // (or a forwarded sub-batch — forwards are terminal, a receiver never
@@ -36,15 +19,16 @@ func (s *Server) remoteOwner(session string) (string, bool) {
 // charge when the gathered responses come back — so a tenant's spend
 // accrues on the nodes it talks to, not wherever the ring placed its
 // data.
-func (s *Server) serveBatchRouted(ctx context.Context, reqs []api.Request, forwarded bool) []api.Response {
+func (s *Server) serveBatchRouted(ctx context.Context, reqs []api.Request) []api.Response {
 	c := s.opts.Cluster
+	fwd := forwarded(ctx)
 	serve := func(reqs []api.Request) []api.Response {
-		if c == nil || forwarded {
+		if c == nil || fwd {
 			return s.serveBatch(ctx, reqs)
 		}
 		return c.ServeBatch(ctx, reqs, s.serveBatch)
 	}
-	if s.adm == nil || forwarded {
+	if s.adm == nil || fwd {
 		return serve(reqs)
 	}
 	ten := s.tenantOf(ctx)
@@ -77,120 +61,47 @@ func (s *Server) serveBatchRouted(ctx context.Context, reqs []api.Request, forwa
 	return out
 }
 
-// clusterStatus reports the node's membership view; a standalone server
-// answers enabled=false so clients can probe for cluster mode.
-func (s *Server) clusterStatus() api.ClusterStatus {
-	if c := s.opts.Cluster; c != nil {
-		return c.Status()
+// forwardedKey marks a request unwrapped from a KindForward envelope.
+type forwardedKey struct{}
+
+// forwarded reports whether the request arrived as a cluster forward.
+// Forwards are terminal and pre-admitted: the node that received one
+// never forwards, scatters or gates it again.
+func forwarded(ctx context.Context) bool { return ctx.Value(forwardedKey{}) != nil }
+
+// ownerElsewhere reports the peer owning a session-placed request;
+// ok=false when this node serves it (standalone, or the ring says the
+// session is ours). An empty session name (an auto-named create) is
+// served wherever it lands: the registry generates self-owned names.
+func (s *Server) ownerElsewhere(op *wire.Op, req any) (string, bool) {
+	c := s.opts.Cluster
+	if c == nil || op.Session == nil || *op.Session(req) == "" {
+		return "", false
 	}
-	return api.ClusterStatus{}
+	owner := c.Owner(*op.Session(req))
+	return owner, owner != c.Self()
 }
 
-// handleCluster serves GET /v1/cluster.
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.clusterStatus())
-}
-
-// serviceError renders a service-layer failure as its HTTP status and
-// wire error, carrying the owning node when the error names one
-// (route_moved), so both protocols' envelopes let a stale client
-// re-route without a second round trip.
-func serviceError(err error) (int, *api.Error) {
-	status, code := statusFor(err)
-	we := api.Errf(code, "%v", err)
-	var o api.Owned
-	if errors.As(err, &o) {
-		we.Owner = o.OwnerNode()
+// forward is the cluster hop for a request owned by node: one wrapped
+// frame to the owner, whose reply payload comes back to be relayed as
+// this node's own — byte for byte over the binary protocol, decoded
+// for HTTP — with a service-level failure relayed verbatim and a
+// transport failure typed. A forwarded request (forwards are terminal)
+// and an owner-only op answer route_moved instead. The reply is decoded
+// here only for ops with a Cost, to settle the edge tenant's exact
+// DBQueries.
+func (s *Server) forward(ctx context.Context, op *wire.Op, req any, node string) outcome {
+	if forwarded(ctx) || op.Place == wire.PlaceOwner {
+		return outcome{err: s.opts.Cluster.RouteMoved("session", *op.Session(req))}
 	}
-	// A throttle's retry-after hint crosses the wire the same way.
-	we.RetryAfterMS = api.RetryHintMS(err)
-	return status, we
-}
-
-// forwardHTTP forwards one session-scoped request to its owning node
-// and writes the reply as this node's own handler would have: a
-// service-level failure relays verbatim (status, code, message, owner),
-// a transport failure maps through the typed taxonomy, and a successful
-// reply's wire body decodes through dec into the JSON value written
-// with the reply's own status (so a parked join stays 202 across the
-// hop). A nil dec writes the bare status (delete's 204).
-func (s *Server) forwardHTTP(w http.ResponseWriter, ctx context.Context, node string, kind wire.Kind, enc func(*wire.Enc), dec func(d *wire.Dec) any) {
-	status, body, err := s.opts.Cluster.Forward(ctx, node, kind, enc)
-	if err != nil {
-		var re *wire.ReplyError
-		if errors.As(err, &re) {
-			writeError(w, re.Status, &api.Error{Code: re.Code, Message: re.Message, Owner: re.Owner, RetryAfterMS: re.RetryAfterMS})
-			return
-		}
-		st, we := serviceError(err)
-		writeError(w, st, we)
-		return
-	}
-	if dec == nil {
-		w.WriteHeader(status)
-		return
-	}
-	d := wire.NewDec(body)
-	v := dec(d)
-	if d.Finish() != nil {
-		writeError(w, http.StatusInternalServerError,
-			api.Errf(api.CodeInternal, "cluster: %s returned a malformed %v reply", node, kind))
-		return
-	}
-	writeJSON(w, status, v)
-}
-
-// forwardOrServe routes one session-scoped binary request. Owned here
-// (or standalone) it returns false: the caller serves locally (and
-// still owns done). Owned elsewhere, the request forwards to its owner
-// and the reply body relays byte-for-byte — unless the request was
-// itself a forward (terminal) or a subscribe (push flows only from the
-// owner), which answer the typed route_moved error instead. A true
-// return means the reply was sent and done (when non-nil) was settled:
-// a join/leave relay that came back 2xx charges the exact DBQueries
-// the owner's update reports — edge accounting, the same rule the
-// HTTP forwarders follow — and every other outcome settles zero.
-func (wc *wireConn) forwardOrServe(ctx context.Context, id uint64, session string, terminal bool, kind wire.Kind, enc func(*wire.Enc), done func(int64)) bool {
-	s := wc.srv
-	node, ok := s.remoteOwner(session)
-	if !ok {
-		return false
-	}
-	settle := func(dbq int64) {
-		if done != nil {
-			done(dbq)
+	status, body, err := s.opts.Cluster.Forward(ctx, node, op.Kind, func(e *wire.Enc) { op.PutReq(e, req) })
+	o := outcome{status: status, relay: body, from: node, err: err}
+	if err == nil && op.Cost != nil && status < 300 {
+		rep := op.NewRep()
+		d := wire.NewDec(body)
+		if op.GetRep(d, rep); d.Finish() == nil {
+			o.rep, o.cost = rep, op.Cost(rep)
 		}
 	}
-	if terminal {
-		settle(0)
-		wc.replyServiceErr(id, s.opts.Cluster.RouteMoved("session", session))
-		return true
-	}
-	status, body, err := s.opts.Cluster.Forward(ctx, node, kind, enc)
-	if err != nil {
-		settle(0)
-		var re *wire.ReplyError
-		if errors.As(err, &re) {
-			wc.replyErr(id, re.Status, &api.Error{Code: re.Code, Message: re.Message, Owner: re.Owner, RetryAfterMS: re.RetryAfterMS})
-			return true
-		}
-		wc.replyServiceErr(id, err)
-		return true
-	}
-	if done != nil {
-		var dbq int64
-		if status < 300 && (kind == wire.KindJoin || kind == wire.KindLeave) {
-			d := wire.NewDec(body)
-			up := wire.GetUpdate(d)
-			if d.Finish() == nil {
-				dbq = up.Stats.DBQueries
-			}
-		}
-		done(dbq)
-	}
-	wc.send(wire.Header{Kind: wire.KindReply, ID: id}, func(e *wire.Enc) {
-		wire.PutReplyOK(e, status)
-		e.Raw(body)
-	})
-	return true
+	return o
 }

@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -104,25 +104,19 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server exposes an engine.Engine over HTTP/JSON: the batch
-// coordination endpoint, the streaming-session resource, and the
-// operational surface. It implements http.Handler; serve it with any
-// http.Server and call Close on shutdown to drain admitted work.
-//
-//	POST   /v1/coordinate          batch coordination
-//	POST   /v1/sessions            create a streaming session
-//	GET    /v1/sessions/{id}       session status (?trace=1 adds the trace)
-//	POST   /v1/sessions/{id}/join  admit one arriving query
-//	POST   /v1/sessions/{id}/leave depart one query by ID
-//	DELETE /v1/sessions/{id}       close the session
-//	GET    /v1/cluster             membership, ring parameters, relation placements
-//	GET    /healthz                liveness and drain state
-//	GET    /metrics                counters, latency histograms, plan-cache and per-session stats
+// Server exposes an engine.Engine over HTTP/JSON and the binary wire
+// protocol: batch coordination, streaming sessions, and the
+// operational surface. Its operations — routes, binary kinds, codecs,
+// placement and admission — are the table wire.Ops, served by one
+// adapter per protocol. It implements http.Handler (serve it with any
+// http.Server) and ServeWire; call Close on shutdown to drain admitted
+// work.
 type Server struct {
 	e        *engine.Engine
 	opts     Options
 	mux      *http.ServeMux
-	adm      *admission.Controller // nil: admission off
+	ops      map[wire.Kind]*handler // binary request kind -> handler
+	adm      *admission.Controller  // nil: admission off
 	batch    *batcher
 	reg      *registry
 	met      *metrics
@@ -151,6 +145,7 @@ func New(e *engine.Engine, opts Options) (*Server, error) {
 		e:         e,
 		opts:      opts,
 		mux:       http.NewServeMux(),
+		ops:       make(map[wire.Kind]*handler),
 		met:       newMetrics(),
 		push:      newPushHub(),
 		closed:    make(chan struct{}),
@@ -211,17 +206,14 @@ func New(e *engine.Engine, opts Options) (*Server, error) {
 		go s.probeLoop(opts.ProbeInterval)
 	}
 
-	s.mux.HandleFunc("POST /v1/coordinate", s.handleCoordinate)
-	s.mux.HandleFunc("POST /v1/sessions", s.handleCreateSession)
-	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionStatus)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/join", s.handleSessionJoin)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/leave", s.handleSessionLeave)
-	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
-	s.mux.HandleFunc("GET /v1/recovery", s.handleRecovery)
-	s.mux.HandleFunc("GET /v1/cluster", s.handleCluster)
-	s.mux.HandleFunc("GET /v1/tenants", s.handleTenants)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	for _, h := range s.bindOps() {
+		if h.op.Kind != 0 {
+			s.ops[h.op.Kind] = h
+		}
+		if h.op.Method != "" {
+			s.mux.Handle(h.op.Method+" "+h.op.Route, s.httpAdapter(h))
+		}
+	}
 	return s, nil
 }
 
@@ -303,25 +295,6 @@ func (s *Server) writeGate() error {
 	return nil
 }
 
-// createSession gates and creates one named session; both protocols'
-// create paths come through here.
-func (s *Server) createSession(name string, parkUnsafe bool) (*sessionHandle, error) {
-	if err := s.writeGate(); err != nil {
-		return nil, err
-	}
-	return s.reg.create(name, parkUnsafe)
-}
-
-// deleteSession gates and removes one session. Deletion is a write:
-// it drops the journal from the data directory, and a drop the
-// degraded filesystem loses would resurrect the session on restart.
-func (s *Server) deleteSession(name string) error {
-	if err := s.writeGate(); err != nil {
-		return err
-	}
-	return s.reg.remove(name)
-}
-
 // ServeHTTP implements http.Handler. The X-Tenant header, when
 // present, attaches the caller's tenant identity to the request
 // context — the HTTP analogue of the binary protocol's tenant
@@ -344,34 +317,6 @@ func (s *Server) tenantOf(ctx context.Context) admission.Tenant {
 		return t
 	}
 	return admission.Default
-}
-
-// admitEvent gates one session-mutating request (create, join) against
-// the tenant's policy. The returned release must be called exactly once
-// with the work's DBQueries spend — it frees the in-flight slot and
-// lands the charge. A nil release with nil error means admission is
-// off.
-func (s *Server) admitEvent(ctx context.Context) (func(dbq int64), error) {
-	if s.adm == nil {
-		return nil, nil
-	}
-	ten := s.tenantOf(ctx)
-	if err := s.adm.Decide(ten); err != nil {
-		return nil, err
-	}
-	return func(dbq int64) { s.adm.Done(ten, dbq) }, nil
-}
-
-// meterEvent returns a charge-only hook for ungated work: a leave is
-// never throttled (shedding load must not block releasing it), but the
-// store work it triggers still lands on the tenant's budget. Nil when
-// admission is off.
-func (s *Server) meterEvent(ctx context.Context) func(dbq int64) {
-	if s.adm == nil {
-		return nil
-	}
-	ten := s.tenantOf(ctx)
-	return func(dbq int64) { s.adm.ChargeDB(ten, dbq) }
 }
 
 // Close drains the server: the batch queue stops admitting and serves
@@ -444,6 +389,79 @@ func writeError(w http.ResponseWriter, status int, e *api.Error) {
 	writeJSON(w, status, api.ErrorEnvelope{Error: e})
 }
 
+// httpAdapter serves one operation over HTTP: the JSON body (POST
+// only), the {id} route segment and the ?trace flag fill the request;
+// exec runs it; the reply goes out as JSON with its status, a relayed
+// forward's payload decoded first. Delete's reply is its bare status.
+func (s *Server) httpAdapter(h *handler) http.HandlerFunc {
+	op := h.op
+	return func(w http.ResponseWriter, r *http.Request) {
+		req := op.NewReq()
+		if op.Method == http.MethodPost {
+			if err := decodeJSON(w, r, req); err != nil {
+				writeError(w, http.StatusBadRequest, api.Errf(api.CodeBadRequest, "decoding body: %v", err))
+				return
+			}
+		}
+		if id := r.PathValue("id"); id != "" {
+			*op.Session(req) = id
+		}
+		if op.Flag != nil {
+			*op.Flag(req) = r.URL.Query().Get("trace") == "1"
+		}
+		o := s.exec(r.Context(), h, req)
+		if o.err == nil && o.from != "" && o.rep == nil && op.NewRep != nil {
+			o.rep = op.NewRep()
+			d := wire.NewDec(o.relay)
+			if op.GetRep(d, o.rep); d.Finish() != nil {
+				o.err = &wire.ReplyError{Status: http.StatusInternalServerError, Code: api.CodeInternal,
+					Message: fmt.Sprintf("cluster: %s returned a malformed %v reply", o.from, op.Kind)}
+			}
+		}
+		if o.err != nil {
+			status, we := serviceError(o.err)
+			writeError(w, status, we)
+			return
+		}
+		if o.rep == nil {
+			w.WriteHeader(o.status)
+			return
+		}
+		writeJSON(w, o.status, o.rep)
+	}
+}
+
+// decodeJSON reads one request body into v, bounded like a binary
+// frame (wire.MaxFrame) and, like a binary body, rejecting anything
+// but whitespace after the value.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxFrame))
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
+// serviceError renders a failure as its HTTP status and wire error, the
+// same for both protocols: an already rendered reply error (a relayed
+// forward's, or a bad request) passes through verbatim; anything else
+// maps through statusFor, carrying the owning node when the error
+// names one (route_moved, so a stale client re-routes without a second
+// round trip) and a throttle's retry-after hint.
+func serviceError(err error) (int, *api.Error) {
+	var re *wire.ReplyError
+	if errors.As(err, &re) {
+		return re.Status, &api.Error{Code: re.Code, Message: re.Message, Owner: re.Owner, RetryAfterMS: re.RetryAfterMS}
+	}
+	status, code := statusFor(err)
+	we := api.WireError(err)
+	we.Code = code
+	return status, we
+}
+
 // statusFor maps a service-layer error to its HTTP status and wire
 // code.
 func statusFor(err error) (int, string) {
@@ -495,37 +513,6 @@ func statusFor(err error) (int, string) {
 	return http.StatusInternalServerError, api.CodeInternal
 }
 
-// handleCoordinate serves the batch endpoint: every request in the
-// payload is admitted into the shared batcher individually, so requests
-// from concurrent HTTP calls coalesce into the same CoordinateMany
-// dispatches. Admission rejections (queue full, draining) come back
-// inline as that request's error — the call itself stays 200 so one
-// hot spot cannot fail a whole batch.
-func (s *Server) handleCoordinate(w http.ResponseWriter, r *http.Request) {
-	var req api.CoordinateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, api.Errf(api.CodeBadRequest, "decoding body: %v", err))
-		return
-	}
-	if we := s.checkBatch(len(req.Requests)); we != nil {
-		writeError(w, http.StatusBadRequest, we)
-		return
-	}
-	writeJSON(w, http.StatusOK, api.CoordinateResponse{Responses: s.serveBatchRouted(r.Context(), req.Requests, false)})
-}
-
-// checkBatch validates a coordinate batch's size; a non-nil return is
-// the bad_request error both protocols report verbatim.
-func (s *Server) checkBatch(n int) *api.Error {
-	if n == 0 {
-		return api.Errf(api.CodeBadRequest, "empty batch")
-	}
-	if n > s.opts.MaxBatch {
-		return api.Errf(api.CodeBadRequest, "batch of %d exceeds the %d-request cap", n, s.opts.MaxBatch)
-	}
-	return nil
-}
-
 // serveBatch admits every request into the shared batcher individually
 // and collects the responses. Both protocols serve batches through this
 // one path, so an HTTP call and a binary frame carrying the same
@@ -570,301 +557,6 @@ func (s *Server) serveBatch(ctx context.Context, reqs []api.Request) []api.Respo
 	return out
 }
 
-func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	var req api.CreateSessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, api.Errf(api.CodeBadRequest, "decoding body: %v", err))
-		return
-	}
-	// Admission decides at the edge — before any forward — so a
-	// throttled create never crosses the cluster, and the charge lands
-	// on the node that talked to the client.
-	done, aerr := s.admitEvent(r.Context())
-	if aerr != nil {
-		status, we := serviceError(aerr)
-		writeError(w, status, we)
-		return
-	}
-	if done != nil {
-		defer done(0) // creates do no store work
-	}
-	// A named create belongs to the name's owner; an auto-named one is
-	// served wherever it lands (the registry generates self-owned names).
-	if node, ok := s.remoteOwner(req.ID); ok && req.ID != "" {
-		s.forwardHTTP(w, r.Context(), node, wire.KindCreateSession,
-			wire.CreateSessionReq{ID: req.ID, ParkUnsafe: req.ParkUnsafe}.Encode,
-			func(d *wire.Dec) any { return api.CreateSessionResponse{ID: d.String()} })
-		return
-	}
-	h, err := s.createSession(req.ID, req.ParkUnsafe)
-	if err != nil {
-		status, we := serviceError(err)
-		writeError(w, status, we)
-		return
-	}
-	writeJSON(w, http.StatusCreated, api.CreateSessionResponse{ID: h.name})
-}
-
-// postEvent runs the shared join/leave path: resolve the session, post
-// the event through its mailbox, meter, and map the outcome. A parked
-// arrival is 202 Accepted with the update (the query is queued for
-// retry, not live); admission rejections and failures are typed error
-// envelopes. done, when non-nil, settles the tenant's admission
-// accounting exactly once: the event's exact DBQueries on success,
-// zero on failure.
-func (s *Server) postEvent(w http.ResponseWriter, r *http.Request, ev stream.Event, done func(int64)) {
-	up, err := s.sessionEvent(r.Context(), r.PathValue("id"), ev)
-	if err != nil {
-		if done != nil {
-			done(0)
-		}
-		status, we := serviceError(err)
-		writeError(w, status, we)
-		return
-	}
-	if done != nil {
-		done(up.Stats.DBQueries)
-	}
-	status := http.StatusOK
-	if up.Parked {
-		status = http.StatusAccepted
-	}
-	writeJSON(w, status, api.UpdateFrom(up))
-}
-
-// sessionEvent resolves the session and posts the event through its
-// mailbox, metering the trip. Shared by both protocols so their
-// outcomes (and error text) match. The degraded gate runs before the
-// event touches the session: a rejected event was never applied, so
-// its fate is known and the client can retry it freely.
-func (s *Server) sessionEvent(ctx context.Context, name string, ev stream.Event) (stream.Update, error) {
-	if err := s.writeGate(); err != nil {
-		return stream.Update{}, err
-	}
-	h, err := s.reg.get(name)
-	if err != nil {
-		return stream.Update{}, err
-	}
-	start := time.Now()
-	up, err := h.post(ctx, ev)
-	s.met.sessionLatency.observe(time.Since(start))
-	s.met.sessionEvents.Add(1)
-	return up, err
-}
-
-func (s *Server) handleSessionJoin(w http.ResponseWriter, r *http.Request) {
-	var req api.JoinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, api.Errf(api.CodeBadRequest, "decoding body: %v", err))
-		return
-	}
-	done, aerr := s.admitEvent(r.Context())
-	if aerr != nil {
-		status, we := serviceError(aerr)
-		writeError(w, status, we)
-		return
-	}
-	if node, ok := s.remoteOwner(r.PathValue("id")); ok {
-		// Forwarded joins are pre-admitted (the envelope carries no
-		// tenant); the edge charges the exact spend the owner reports.
-		s.forwardHTTP(w, r.Context(), node, wire.KindJoin,
-			wire.JoinReq{Session: r.PathValue("id"), Query: req.Query}.Encode,
-			func(d *wire.Dec) any {
-				up := wire.GetUpdate(d)
-				if done != nil {
-					done(up.Stats.DBQueries)
-					done = nil
-				}
-				return up
-			})
-		if done != nil {
-			done(0) // the forward failed before a decodable update came back
-		}
-		return
-	}
-	s.postEvent(w, r, stream.Event{Kind: stream.JoinEvent, Query: req.Query}, done)
-}
-
-func (s *Server) handleSessionLeave(w http.ResponseWriter, r *http.Request) {
-	var req api.LeaveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, api.Errf(api.CodeBadRequest, "decoding body: %v", err))
-		return
-	}
-	// Leaves are metered, never gated: a tenant over budget must still
-	// be able to release load, but the store work the departure
-	// triggers lands on its budget all the same.
-	charge := s.meterEvent(r.Context())
-	if node, ok := s.remoteOwner(r.PathValue("id")); ok {
-		s.forwardHTTP(w, r.Context(), node, wire.KindLeave,
-			wire.LeaveReq{Session: r.PathValue("id"), QueryID: req.ID}.Encode,
-			func(d *wire.Dec) any {
-				up := wire.GetUpdate(d)
-				if charge != nil {
-					charge(up.Stats.DBQueries)
-				}
-				return up
-			})
-		return
-	}
-	s.postEvent(w, r, stream.Event{Kind: stream.LeaveEvent, ID: req.ID}, charge)
-}
-
-func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
-	if node, ok := s.remoteOwner(r.PathValue("id")); ok {
-		s.forwardHTTP(w, r.Context(), node, wire.KindStatus,
-			wire.StatusReq{Session: r.PathValue("id"), Trace: r.URL.Query().Get("trace") == "1"}.Encode,
-			func(d *wire.Dec) any { return wire.GetSessionStatus(d) })
-		return
-	}
-	st, status, we := s.sessionStatus(r.PathValue("id"), r.URL.Query().Get("trace") == "1")
-	if we != nil {
-		writeError(w, status, we)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// sessionStatus snapshots one session as its API DTO. Shared by both
-// protocols; a non-nil *api.Error comes with its HTTP-equivalent
-// status.
-func (s *Server) sessionStatus(name string, trace bool) (api.SessionStatus, int, *api.Error) {
-	h, err := s.reg.get(name)
-	if err != nil {
-		status, code := statusFor(err)
-		return api.SessionStatus{}, status, api.Errf(code, "%v", err)
-	}
-	h.touch()
-	// One locked snapshot: Result's indices must agree with Queries
-	// even while other clients join and leave this session.
-	snap, err := h.sess.Status(trace)
-	if err != nil {
-		return api.SessionStatus{}, http.StatusInternalServerError,
-			api.Errf(api.CodeInternal, "reading session state: %v", err)
-	}
-	return api.SessionStatus{
-		ID:       h.name,
-		Live:     len(snap.Queries),
-		Parked:   snap.Parked,
-		Queries:  snap.Queries,
-		Result:   snap.Result,
-		Totals:   api.TotalsFrom(snap.Totals),
-		Trace:    snap.Trace,
-		TeamSize: snap.Result.Size(),
-	}, 0, nil
-}
-
-func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	if node, ok := s.remoteOwner(r.PathValue("id")); ok {
-		s.forwardHTTP(w, r.Context(), node, wire.KindDeleteSession,
-			wire.SessionReq{Session: r.PathValue("id")}.Encode, nil)
-		return
-	}
-	if err := s.deleteSession(r.PathValue("id")); err != nil {
-		status, we := serviceError(err)
-		writeError(w, status, we)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.health())
-}
-
-// health reports liveness and drain state; both protocols serve it.
-// Always answered (never an error): the work endpoints are the ones
-// that reject during a drain, and a health probe that can still be
-// answered should be.
-func (s *Server) health() api.Health {
-	h := api.Health{
-		Status:   "ok",
-		Sessions: s.reg.open(),
-		UptimeS:  time.Since(s.met.start).Seconds(),
-	}
-	if s.opts.Persist != nil && s.opts.Persist.Degraded() {
-		h.Status = "degraded"
-		h.Degraded = true
-		if cause := s.opts.Persist.DegradeCause(); cause != nil {
-			h.DegradedCause = cause.Error()
-		}
-	}
-	if c := s.opts.Cluster; c != nil {
-		h.Cluster = c.Health()
-	}
-	// Draining wins: a shutting-down server is past caring about its
-	// disk, and probes should steer traffic away either way.
-	if s.draining() {
-		h.Status = "draining"
-	}
-	return h
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := api.Metrics{
-		UptimeS: time.Since(s.met.start).Seconds(),
-		Coordinate: api.CoordinateMetrics{
-			Requests:  s.met.coordRequests.Load(),
-			Batches:   s.met.coordBatches.Load(),
-			Errors:    s.met.coordErrors.Load(),
-			Rejected:  s.met.coordRejected.Load(),
-			DBQueries: s.met.coordQueries.Load(),
-			Latency:   s.met.coordLatency.snapshot(),
-		},
-		Sessions: api.SessionMetrics{
-			Created: s.reg.created.Load(),
-			Evicted: s.reg.evicted.Load(),
-			Events:  s.met.sessionEvents.Load(),
-			Latency: s.met.sessionLatency.snapshot(),
-		},
-	}
-	handles := s.reg.snapshot()
-	sort.Slice(handles, func(i, j int) bool { return handles[i].name < handles[j].name })
-	for _, h := range handles {
-		t := h.sess.Totals()
-		m.Sessions.Open++
-		m.Sessions.DBQueries += t.DBQueries
-		m.Sessions.PerSession = append(m.Sessions.PerSession, api.SessionCounters{
-			ID:        h.name,
-			Live:      h.sess.Size(),
-			Parked:    h.sess.ParkedCount(),
-			Events:    t.Events,
-			DBQueries: t.DBQueries,
-		})
-	}
-	if pc, ok := planStats(s.e.Store()); ok {
-		m.PlanCache = &pc
-	}
-	if c := s.opts.Cluster; c != nil {
-		m.Cluster = c.Metrics()
-	}
-	if s.adm != nil {
-		m.Admission = s.admissionMetrics()
-	}
-	if s.opts.Persist != nil {
-		pm := s.opts.Persist.Metrics()
-		m.Persist = &api.PersistMetrics{
-			StoreAppends:    pm.StoreAppends,
-			StoreBytes:      pm.StoreBytes,
-			StoreSyncs:      pm.StoreSyncs,
-			StoreRotations:  pm.StoreRotations,
-			SessionAppends:  pm.SessionAppends,
-			SessionBytes:    pm.SessionBytes,
-			SessionSyncs:    pm.SessionSyncs,
-			OpenJournals:    pm.OpenJournals,
-			SnapshotSeq:     pm.SnapshotSeq,
-			Compactions:     pm.Compactions,
-			Degraded:        pm.Degraded,
-			DegradeEvents:   pm.DegradeEvents,
-			Probes:          pm.Probes,
-			ProbeFailures:   pm.ProbeFailures,
-			PendingAppends:  pm.PendingAppends,
-			CompactFailures: pm.CompactFailures,
-		}
-	}
-	writeJSON(w, http.StatusOK, m)
-}
-
 // admissionMetrics assembles the per-tenant admission block: the
 // controller's accounting joined with the batcher's live queue depths
 // and the fair-dispatch share histograms.
@@ -892,44 +584,6 @@ func (s *Server) admissionMetrics() *api.AdmissionMetrics {
 		am.Tenants = append(am.Tenants, tc)
 	}
 	return am
-}
-
-// handleTenants serves GET /v1/tenants: each tenant's effective
-// policy and live accounting. Without admission it answers
-// enabled=false, so clients can probe for the feature.
-func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
-	ts := api.TenantsStatus{}
-	if s.adm != nil {
-		ts.Enabled = true
-		for _, sn := range s.adm.Snapshot() {
-			ts.Tenants = append(ts.Tenants, api.TenantStatus{
-				Tenant:         string(sn.Tenant),
-				Policy:         sn.Policy,
-				InFlight:       sn.InFlight,
-				QueueDepth:     s.batch.queueDepth(sn.Tenant),
-				Admitted:       sn.Admitted,
-				Throttled:      sn.Throttled(),
-				DBQueriesSpent: sn.DBQueriesSpent,
-				DBBalance:      sn.DBBalance,
-			})
-		}
-	}
-	writeJSON(w, http.StatusOK, ts)
-}
-
-// handleRecovery reports what this process replayed at startup; with
-// no durable backend it answers enabled=false, so clients can probe
-// for durability. Degraded state is live (sampled per request), not a
-// startup snapshot.
-func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
-	rec := s.recovery
-	if s.opts.Persist != nil && s.opts.Persist.Degraded() {
-		rec.Degraded = true
-		if cause := s.opts.Persist.DegradeCause(); cause != nil {
-			rec.DegradedCause = cause.Error()
-		}
-	}
-	writeJSON(w, http.StatusOK, rec)
 }
 
 // String identifies the server in logs.

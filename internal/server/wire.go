@@ -5,11 +5,9 @@ import (
 	"context"
 	"io"
 	"net"
-	"net/http"
 	"sync"
 
 	"entangled/internal/admission"
-	"entangled/internal/api"
 	"entangled/internal/stream"
 	"entangled/internal/wire"
 )
@@ -135,29 +133,22 @@ func (p *pushHub) dropSession(name string) {
 // requests dispatch concurrently (pipelining), replies and pushes
 // serialize through the write mutex.
 type wireConn struct {
-	srv      *Server
 	c        net.Conn
 	wmu      sync.Mutex
 	inflight sync.WaitGroup
 }
 
-// write sends one frame payload.
-func (wc *wireConn) write(payload []byte) error {
-	wc.wmu.Lock()
-	defer wc.wmu.Unlock()
-	return wire.WriteFrame(wc.c, payload)
-}
-
-// send encodes a frame through a pooled buffer and writes it.
+// send encodes one frame through a pooled buffer and writes it whole
+// under the write mutex.
 func (wc *wireConn) send(h wire.Header, put func(*wire.Enc)) error {
 	buf := wire.GetBuf()
 	var e wire.Enc
 	e.Reset(*buf)
 	wire.PutHeader(&e, h)
-	if put != nil {
-		put(&e)
-	}
-	err := wc.write(e.Bytes())
+	put(&e)
+	wc.wmu.Lock()
+	err := wire.WriteFrame(wc.c, e.Bytes())
+	wc.wmu.Unlock()
 	*buf = e.Bytes()
 	wire.PutBuf(buf)
 	return err
@@ -168,29 +159,24 @@ func (wc *wireConn) sendPush(p wire.Push) error {
 	return wc.send(wire.Header{Kind: wire.KindPush, ID: 0}, p.Encode)
 }
 
-// replyOK answers a request with a success status and body.
-func (wc *wireConn) replyOK(id uint64, status int, put func(*wire.Enc)) {
+// reply answers a request with its outcome: a failure as the same
+// status/code/message triple the HTTP error envelope carries, a
+// relayed forward's payload byte for byte, or the op's reply payload.
+func (wc *wireConn) reply(id uint64, op *wire.Op, o outcome) {
+	if o.err != nil {
+		status, we := serviceError(o.err)
+		wc.send(wire.Header{Kind: wire.KindReply, ID: id}, func(e *wire.Enc) { wire.PutReplyErr(e, status, we) })
+		return
+	}
 	wc.send(wire.Header{Kind: wire.KindReply, ID: id}, func(e *wire.Enc) {
-		wire.PutReplyOK(e, status)
-		if put != nil {
-			put(e)
+		wire.PutReplyOK(e, o.status)
+		switch {
+		case o.from != "":
+			e.Raw(o.relay)
+		case o.rep != nil:
+			op.PutRep(e, o.rep)
 		}
 	})
-}
-
-// replyErr answers a request with the same status/code/message triple
-// the HTTP error envelope would carry.
-func (wc *wireConn) replyErr(id uint64, status int, we *api.Error) {
-	wc.send(wire.Header{Kind: wire.KindReply, ID: id}, func(e *wire.Enc) {
-		wire.PutReplyErr(e, status, we)
-	})
-}
-
-// replyServiceErr maps a service-layer error exactly the way the HTTP
-// handlers do, so both protocols report identical errors.
-func (wc *wireConn) replyServiceErr(id uint64, err error) {
-	status, we := serviceError(err)
-	wc.replyErr(id, status, we)
 }
 
 // ServeWire accepts binary-protocol connections on l until the
@@ -232,7 +218,7 @@ func (s *Server) ServeWire(l net.Listener) error {
 // leaves the stream unsynchronized (nothing to salvage — drop the
 // connection; a pipelined client redials).
 func (s *Server) serveWireConn(c net.Conn) {
-	wc := &wireConn{srv: s, c: c}
+	wc := &wireConn{c: c}
 	s.wireMu.Lock()
 	if s.draining() {
 		s.wireMu.Unlock()
@@ -270,262 +256,77 @@ func (s *Server) serveWireConn(c net.Conn) {
 		if d.Err() != nil || h.ID == 0 {
 			return // not even a header; the stream is garbage
 		}
-		if !s.dispatch(ctx, wc, h, d, false) {
+		if !s.dispatch(ctx, wc, h, d) {
 			return
 		}
 	}
 }
 
-// dispatch decodes one request body synchronously (the read buffer is
-// reused by the next frame) and serves it on its own goroutine, so
-// pipelined requests overlap. A body that fails to decode answers
-// bad_request with the same message the HTTP handlers use; an unknown
-// kind kills the connection (protocol error, not a request error).
-// forwarded marks a request unwrapped from a KindForward envelope:
-// forwards are terminal, so a forwarded request this node does not own
-// answers route_moved instead of forwarding again.
-func (s *Server) dispatch(ctx context.Context, wc *wireConn, h wire.Header, d *wire.Dec, forwarded bool) bool {
-	badBody := func(err error) bool {
-		wc.inflight.Add(1)
-		go func() {
-			defer wc.inflight.Done()
-			wc.replyErr(h.ID, http.StatusBadRequest, api.Errf(api.CodeBadRequest, "decoding body: %v", err))
-		}()
-		return true
-	}
-	serve := func(f func()) bool {
-		wc.inflight.Add(1)
-		go func() {
-			defer wc.inflight.Done()
-			f()
-		}()
-		return true
-	}
-
-	switch h.Kind {
-	case wire.KindCoordinate:
-		req := wire.DecodeCoordinateReq(d)
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			if we := s.checkBatch(len(req.Requests)); we != nil {
-				wc.replyErr(h.ID, http.StatusBadRequest, we)
-				return
-			}
-			out := s.serveBatchRouted(ctx, req.Requests, forwarded)
-			wc.replyOK(h.ID, http.StatusOK, func(e *wire.Enc) { wire.PutResponses(e, out) })
-		})
-
-	case wire.KindCreateSession:
-		req := wire.DecodeCreateSessionReq(d)
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			// Admission decides at the edge, before any forward; a
-			// forwarded create is pre-admitted by the node that gated it.
-			var done func(int64)
-			if !forwarded {
-				var aerr error
-				if done, aerr = s.admitEvent(ctx); aerr != nil {
-					wc.replyServiceErr(h.ID, aerr)
-					return
-				}
-			}
-			if done != nil {
-				defer done(0) // creates do no store work
-			}
-			// A named create belongs to the name's owner; auto-named
-			// creates are served here (the registry generates self-owned
-			// names).
-			if req.ID != "" && wc.forwardOrServe(ctx, h.ID, req.ID, forwarded, wire.KindCreateSession, req.Encode, nil) {
-				return
-			}
-			sh, err := s.createSession(req.ID, req.ParkUnsafe)
-			if err != nil {
-				wc.replyServiceErr(h.ID, err)
-				return
-			}
-			wc.replyOK(h.ID, http.StatusCreated, func(e *wire.Enc) { e.String(sh.name) })
-		})
-
-	case wire.KindJoin:
-		req := wire.DecodeJoinReq(d)
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			var done func(int64)
-			if !forwarded {
-				var aerr error
-				if done, aerr = s.admitEvent(ctx); aerr != nil {
-					wc.replyServiceErr(h.ID, aerr)
-					return
-				}
-			}
-			if wc.forwardOrServe(ctx, h.ID, req.Session, forwarded, wire.KindJoin, req.Encode, done) {
-				return
-			}
-			wc.replyUpdate(ctx, h.ID, req.Session, stream.Event{Kind: stream.JoinEvent, Query: req.Query}, done)
-		})
-
-	case wire.KindLeave:
-		req := wire.DecodeLeaveReq(d)
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			// Metered, never gated: shedding load must not block
-			// releasing it.
-			var charge func(int64)
-			if !forwarded {
-				charge = s.meterEvent(ctx)
-			}
-			if wc.forwardOrServe(ctx, h.ID, req.Session, forwarded, wire.KindLeave, req.Encode, charge) {
-				return
-			}
-			wc.replyUpdate(ctx, h.ID, req.Session, stream.Event{Kind: stream.LeaveEvent, ID: req.QueryID}, charge)
-		})
-
-	case wire.KindStatus:
-		req := wire.DecodeStatusReq(d)
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			if wc.forwardOrServe(ctx, h.ID, req.Session, forwarded, wire.KindStatus, req.Encode, nil) {
-				return
-			}
-			st, status, we := s.sessionStatus(req.Session, req.Trace)
-			if we != nil {
-				wc.replyErr(h.ID, status, we)
-				return
-			}
-			wc.replyOK(h.ID, http.StatusOK, func(e *wire.Enc) { wire.PutSessionStatus(e, st) })
-		})
-
-	case wire.KindDeleteSession:
-		req := wire.DecodeSessionReq(d)
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			if wc.forwardOrServe(ctx, h.ID, req.Session, forwarded, wire.KindDeleteSession, req.Encode, nil) {
-				return
-			}
-			if err := s.deleteSession(req.Session); err != nil {
-				wc.replyServiceErr(h.ID, err)
-				return
-			}
-			wc.replyOK(h.ID, http.StatusNoContent, nil)
-		})
-
-	case wire.KindSubscribe:
-		req := wire.DecodeSessionReq(d)
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			// Push flows only from a session's owner (the owner's session
-			// loop feeds its hub), so a misplaced subscribe answers
-			// route_moved rather than silently never delivering.
-			if _, ok := s.remoteOwner(req.Session); ok {
-				wc.replyServiceErr(h.ID, s.opts.Cluster.RouteMoved("session", req.Session))
-				return
-			}
-			if _, err := s.reg.get(req.Session); err != nil {
-				wc.replyServiceErr(h.ID, err)
-				return
-			}
-			// Reply before flushing the backlog so the client observes
-			// "subscribed" before the first notification.
-			wc.replyOK(h.ID, http.StatusOK, nil)
-			s.push.subscribe(wc, req.Session)
-		})
-
-	case wire.KindHealth:
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			wc.replyOK(h.ID, http.StatusOK, func(e *wire.Enc) { wire.PutHealth(e, s.health()) })
-		})
-
-	case wire.KindCluster:
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		return serve(func() {
-			wc.replyOK(h.ID, http.StatusOK, func(e *wire.Enc) { wire.PutClusterStatus(e, s.clusterStatus()) })
-		})
-
+// dispatch is the binary adapter: it decodes one request body
+// synchronously (the read buffer is reused by the next frame) and
+// serves it through exec on its own goroutine, so pipelined requests
+// overlap. A body that fails to decode answers bad_request with the
+// same message HTTP uses; an unknown kind kills the connection
+// (protocol error, not a request error). The KindTenant and KindForward
+// envelopes unwrap here and re-dispatch their inner request under the
+// outer frame's id — the inner body aliases the read buffer too, and
+// the reply the inner request produces is the envelope's reply.
+func (s *Server) dispatch(ctx context.Context, wc *wireConn, hd wire.Header, d *wire.Dec) bool {
+	var h *handler
+	var req any
+	switch hd.Kind {
 	case wire.KindTenant:
-		if forwarded {
-			// Forwards never carry tenant envelopes: admission was decided
-			// (and is accounted) at the edge node, so a tenant frame inside
-			// a forward is a protocol violation.
+		// Forwards never carry tenant envelopes: admission was decided
+		// (and is accounted) at the edge node.
+		if forwarded(ctx) {
 			return false
 		}
 		te := wire.DecodeTenantReq(d)
-		if err := d.Finish(); err != nil {
-			return badBody(err)
-		}
-		if te.Kind == wire.KindTenant || te.Kind == wire.KindForward {
+		if d.Finish() == nil {
 			// The envelope must be outermost and must not smuggle a
 			// forward past the edge gate.
-			return false
+			if te.Kind == wire.KindTenant || te.Kind == wire.KindForward {
+				return false
+			}
+			// The exact analogue of the HTTP X-Tenant middleware.
+			return s.dispatch(admission.WithTenant(ctx, admission.Tenant(te.Tenant)), wc,
+				wire.Header{Kind: te.Kind, ID: hd.ID}, wire.NewDec(te.Body))
 		}
-		// Re-dispatch the wrapped request under the outer frame's id with
-		// the tenant identity on the context — the exact analogue of the
-		// HTTP X-Tenant middleware. The inner body decodes synchronously
-		// here (it aliases the connection's read buffer).
-		return s.dispatch(admission.WithTenant(ctx, admission.Tenant(te.Tenant)), wc,
-			wire.Header{Kind: te.Kind, ID: h.ID}, wire.NewDec(te.Body), false)
-
 	case wire.KindForward:
-		if forwarded {
+		if forwarded(ctx) {
 			return false // a forward inside a forward breaks terminality
 		}
 		fwd := wire.DecodeForward(d)
-		if err := d.Finish(); err != nil {
-			return badBody(err)
+		if d.Finish() == nil {
+			if fwd.Hops != 1 {
+				return false // the terminal-forward invariant is checkable; enforce it
+			}
+			if s.opts.Cluster != nil {
+				s.opts.Cluster.ReceivedForward()
+			}
+			return s.dispatch(context.WithValue(ctx, forwardedKey{}, true), wc,
+				wire.Header{Kind: fwd.Kind, ID: hd.ID}, wire.NewDec(fwd.Body))
 		}
-		if fwd.Hops != 1 {
-			return false // the terminal-forward invariant is checkable; enforce it
+	default:
+		if h = s.ops[hd.Kind]; h == nil {
+			return false
 		}
-		if s.opts.Cluster != nil {
-			s.opts.Cluster.ReceivedForward()
+		req = h.op.NewReq()
+		h.op.GetReq(d, req)
+	}
+	derr := d.Finish()
+	wc.inflight.Add(1)
+	go func() {
+		defer wc.inflight.Done()
+		if derr != nil {
+			wc.reply(hd.ID, nil, outcome{err: badRequest("decoding body: %v", derr)})
+			return
 		}
-		// Re-dispatch the wrapped request under the outer frame's id:
-		// the inner body decodes synchronously here (it aliases the
-		// connection's read buffer), and the reply the inner request
-		// produces IS the forward's reply.
-		return s.dispatch(ctx, wc, wire.Header{Kind: fwd.Kind, ID: h.ID}, wire.NewDec(fwd.Body), true)
-	}
-	return false
-}
-
-// replyUpdate serves the shared join/leave path and renders the
-// outcome with the HTTP status semantics (202 for a parked arrival).
-// done, when non-nil, settles the tenant's admission accounting
-// exactly once: the event's exact DBQueries on success, zero on
-// failure.
-func (wc *wireConn) replyUpdate(ctx context.Context, id uint64, session string, ev stream.Event, done func(int64)) {
-	up, err := wc.srv.sessionEvent(ctx, session, ev)
-	if err != nil {
-		if done != nil {
-			done(0)
+		o := s.exec(ctx, h, req)
+		wc.reply(hd.ID, h.op, o)
+		if o.err == nil && h.after != nil {
+			h.after(wc, req)
 		}
-		wc.replyServiceErr(id, err)
-		return
-	}
-	if done != nil {
-		done(up.Stats.DBQueries)
-	}
-	status := http.StatusOK
-	if up.Parked {
-		status = http.StatusAccepted
-	}
-	wc.replyOK(id, status, func(e *wire.Enc) { wire.PutUpdate(e, api.UpdateFrom(up)) })
+	}()
+	return true
 }

@@ -16,11 +16,6 @@ import (
 // operations.
 var ErrConnClosed = errors.New("wire: connection closed")
 
-// call is one in-flight pipelined request.
-type call struct {
-	reply chan callReply // buffered(1): the read loop never blocks on it
-}
-
 type callReply struct {
 	status  int
 	payload []byte
@@ -39,7 +34,7 @@ type ClientConn struct {
 	wmu sync.Mutex // serializes frame writes
 
 	mu      sync.Mutex
-	pending map[uint64]*call
+	pending map[uint64]chan callReply // buffered(1): the read loop never blocks on one
 	nextID  uint64
 	closed  bool
 	cause   error
@@ -64,7 +59,7 @@ func Dial(addr string, onPush func(Push)) (*ClientConn, error) {
 func NewClientConn(nc net.Conn, onPush func(Push)) *ClientConn {
 	cc := &ClientConn{
 		c:       nc,
-		pending: map[uint64]*call{},
+		pending: map[uint64]chan callReply{},
 		onPush:  onPush,
 		done:    make(chan struct{}),
 	}
@@ -104,8 +99,8 @@ func (cc *ClientConn) fail(cause error) {
 	cc.mu.Unlock()
 	cc.c.Close()
 	err := cc.closedErr()
-	for _, ca := range pending {
-		ca.reply <- callReply{err: err}
+	for _, reply := range pending {
+		reply <- callReply{err: err}
 	}
 }
 
@@ -136,14 +131,14 @@ func (cc *ClientConn) readLoop() {
 		switch h.Kind {
 		case KindReply:
 			cc.mu.Lock()
-			ca := cc.pending[h.ID]
+			reply := cc.pending[h.ID]
 			delete(cc.pending, h.ID)
 			cc.mu.Unlock()
-			if ca == nil {
+			if reply == nil {
 				continue // reply to an abandoned (ctx-cancelled) call
 			}
 			status, body, err := decodeReply(d)
-			ca.reply <- callReply{status: status, payload: body, err: err}
+			reply <- callReply{status: status, payload: body, err: err}
 		case KindPush:
 			p := DecodePush(d)
 			if err := d.Finish(); err != nil {
@@ -181,7 +176,7 @@ func decodeReply(d *Dec) (int, []byte, error) {
 // ctx abandons the wait (the request may still execute server-side; a
 // late reply is discarded).
 func (cc *ClientConn) Call(ctx context.Context, kind Kind, encode func(*Enc)) (int, []byte, error) {
-	ca := &call{reply: make(chan callReply, 1)}
+	reply := make(chan callReply, 1)
 	cc.mu.Lock()
 	if cc.closed {
 		err := cc.closedErr()
@@ -190,7 +185,7 @@ func (cc *ClientConn) Call(ctx context.Context, kind Kind, encode func(*Enc)) (i
 	}
 	cc.nextID++
 	id := cc.nextID
-	cc.pending[id] = ca
+	cc.pending[id] = reply
 	cc.mu.Unlock()
 
 	buf := GetBuf()
@@ -214,7 +209,7 @@ func (cc *ClientConn) Call(ctx context.Context, kind Kind, encode func(*Enc)) (i
 	}
 
 	select {
-	case r := <-ca.reply:
+	case r := <-reply:
 		return r.status, r.payload, r.err
 	case <-ctx.Done():
 		cc.mu.Lock()

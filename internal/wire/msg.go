@@ -7,40 +7,32 @@ import (
 	"entangled/internal/eq"
 )
 
-// Kind discriminates message payloads. Client-to-server kinds name the
-// operation (mirroring the HTTP endpoints one-to-one); server-to-client
-// frames are either a Reply correlated to a request id or an
-// unsolicited Push.
+// Kind discriminates message payloads. Client-to-server kinds name an
+// operation — its route, codecs and placement are its descriptor in
+// Ops — or wrap one in an envelope; server-to-client frames are either
+// a Reply correlated to a request id or an unsolicited Push.
 type Kind uint8
 
+// Operation kinds.
 const (
-	// KindCoordinate is POST /v1/coordinate: a batch of independent
-	// coordination requests.
-	KindCoordinate Kind = 1
-	// KindCreateSession is POST /v1/sessions.
+	KindCoordinate    Kind = 1
 	KindCreateSession Kind = 2
-	// KindJoin is POST /v1/sessions/{id}/join.
-	KindJoin Kind = 3
-	// KindLeave is POST /v1/sessions/{id}/leave.
-	KindLeave Kind = 4
-	// KindStatus is GET /v1/sessions/{id}.
-	KindStatus Kind = 5
-	// KindDeleteSession is DELETE /v1/sessions/{id}.
+	KindJoin          Kind = 3
+	KindLeave         Kind = 4
+	KindStatus        Kind = 5
 	KindDeleteSession Kind = 6
-	// KindSubscribe registers this connection for push notifications
-	// about one session (no HTTP equivalent — HTTP clients poll).
-	KindSubscribe Kind = 7
-	// KindHealth is GET /healthz.
-	KindHealth Kind = 8
+	KindSubscribe     Kind = 7
+	KindHealth        Kind = 8
+	KindCluster       Kind = 10
+)
+
+const (
 	// KindForward wraps another request for node-to-node forwarding
 	// inside a cluster: origin metadata, then the inner kind and its
 	// body verbatim. Forwarded frames are terminal — a receiver that
 	// does not own the target answers route_moved instead of forwarding
 	// again, so a request crosses at most one node boundary.
 	KindForward Kind = 9
-	// KindCluster is GET /v1/cluster: the node's membership view, ring
-	// parameters and relation placements.
-	KindCluster Kind = 10
 	// KindTenant wraps another client request with a tenant identity
 	// for admission accounting: the tenant name, then the inner kind
 	// and its body verbatim to the end of the frame (the binary
@@ -56,35 +48,18 @@ const (
 	KindPush Kind = 0x81
 )
 
+// kindNames names every declared kind.
+var kindNames = map[Kind]string{
+	KindCoordinate: "coordinate", KindCreateSession: "create_session", KindJoin: "join",
+	KindLeave: "leave", KindStatus: "status", KindDeleteSession: "delete_session",
+	KindSubscribe: "subscribe", KindHealth: "health", KindForward: "forward",
+	KindCluster: "cluster", KindTenant: "tenant", KindReply: "reply", KindPush: "push",
+}
+
 // String names the kind for diagnostics.
 func (k Kind) String() string {
-	switch k {
-	case KindCoordinate:
-		return "coordinate"
-	case KindCreateSession:
-		return "create_session"
-	case KindJoin:
-		return "join"
-	case KindLeave:
-		return "leave"
-	case KindStatus:
-		return "status"
-	case KindDeleteSession:
-		return "delete_session"
-	case KindSubscribe:
-		return "subscribe"
-	case KindHealth:
-		return "health"
-	case KindForward:
-		return "forward"
-	case KindCluster:
-		return "cluster"
-	case KindTenant:
-		return "tenant"
-	case KindReply:
-		return "reply"
-	case KindPush:
-		return "push"
+	if name, ok := kindNames[k]; ok {
+		return name
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -108,10 +83,13 @@ func GetHeader(d *Dec) Header {
 }
 
 // --- request bodies (client to server) ---
+//
+// Each request struct's JSON is its HTTP body: the session name rides
+// the route instead, so it is excluded.
 
 // CoordinateReq is the body of a KindCoordinate request.
 type CoordinateReq struct {
-	Requests []api.Request
+	Requests []api.Request `json:"requests"`
 }
 
 // Encode appends the request body.
@@ -124,8 +102,8 @@ func DecodeCoordinateReq(d *Dec) CoordinateReq {
 
 // CreateSessionReq is the body of a KindCreateSession request.
 type CreateSessionReq struct {
-	ID         string
-	ParkUnsafe bool
+	ID         string `json:"id,omitempty"`
+	ParkUnsafe bool   `json:"park_unsafe,omitempty"`
 }
 
 // Encode appends the request body.
@@ -141,8 +119,8 @@ func DecodeCreateSessionReq(d *Dec) CreateSessionReq {
 
 // JoinReq is the body of a KindJoin request.
 type JoinReq struct {
-	Session string
-	Query   eq.Query
+	Session string   `json:"-"`
+	Query   eq.Query `json:"query"`
 }
 
 // Encode appends the request body.
@@ -158,8 +136,8 @@ func DecodeJoinReq(d *Dec) JoinReq {
 
 // LeaveReq is the body of a KindLeave request.
 type LeaveReq struct {
-	Session string
-	QueryID string
+	Session string `json:"-"`
+	QueryID string `json:"id"`
 }
 
 // Encode appends the request body.
@@ -175,8 +153,8 @@ func DecodeLeaveReq(d *Dec) LeaveReq {
 
 // StatusReq is the body of a KindStatus request.
 type StatusReq struct {
-	Session string
-	Trace   bool
+	Session string `json:"-"`
+	Trace   bool   `json:"-"`
 }
 
 // Encode appends the request body.
@@ -193,7 +171,7 @@ func DecodeStatusReq(d *Dec) StatusReq {
 // SessionReq is the body of KindDeleteSession and KindSubscribe: just
 // the session name.
 type SessionReq struct {
-	Session string
+	Session string `json:"-"`
 }
 
 // Encode appends the request body.
