@@ -10,7 +10,7 @@ import (
 	"entangled/internal/engine"
 )
 
-// Batch-path admission errors, mapped to wire codes by the handlers.
+// Batch-path admission errors, mapped to wire codes by statusFor.
 var (
 	// errOverloaded means the admission queue was full.
 	errOverloaded = errors.New("server: coordinate queue full")

@@ -11,7 +11,7 @@ import (
 	"entangled/internal/stream"
 )
 
-// Session-path errors, mapped to wire codes by the handlers.
+// Session-path errors, mapped to wire codes by statusFor.
 var (
 	errSessionExists   = errors.New("server: session name taken")
 	errSessionNotFound = errors.New("server: no such session")

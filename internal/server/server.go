@@ -298,7 +298,7 @@ func (s *Server) writeGate() error {
 // ServeHTTP implements http.Handler. The X-Tenant header, when
 // present, attaches the caller's tenant identity to the request
 // context — the HTTP analogue of the binary protocol's tenant
-// envelope; handlers read it back with admission.FromContext.
+// envelope; tenantOf reads it back with admission.FromContext.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if ten := r.Header.Get(api.TenantHeader); ten != "" {
 		r = r.WithContext(admission.WithTenant(r.Context(), admission.Tenant(ten)))
