@@ -4,10 +4,14 @@ import (
 	"context"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"entangled/internal/db"
 	"entangled/internal/engine"
+	"entangled/internal/eq"
+	"entangled/internal/unify"
 	"entangled/internal/workload"
 )
 
@@ -16,17 +20,14 @@ import (
 // session state is still reported, and no goroutine outlives the run.
 func TestStreamDrainOnCancel(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	store := workload.NewStore(2, 32, 50*time.Microsecond)
-	e := engine.New(store, engine.Options{Workers: 2})
-
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
+	defer cancel()
+	// Cancel once the session is processing its first event, however
+	// loaded the machine: that event finishes, and a paced run of
+	// ~4s at 1000 events/s cannot have ended by then.
+	store := &cancelOnFirstQuery{Store: workload.NewStore(2, 32, 50*time.Microsecond), cancel: cancel}
+	e := engine.New(store, engine.Options{Workers: 2})
 	var out strings.Builder
-	// A paced run long enough (~4s at 1000 events/s) that the cancel
-	// always lands mid-stream.
 	totals, err := runStream(ctx, e, streamConfig{
 		events:  4000,
 		pattern: workload.Churn,
@@ -53,6 +54,25 @@ func TestStreamDrainOnCancel(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > baseline {
 		t.Fatalf("goroutine leak after drain: %d > %d at start", n, baseline)
 	}
+}
+
+// cancelOnFirstQuery cancels a run from the first query a session
+// event issues, so a test sees the cancel land mid-stream by progress,
+// not by wall time.
+type cancelOnFirstQuery struct {
+	db.Store
+	once   sync.Once
+	cancel context.CancelFunc
+}
+
+func (s *cancelOnFirstQuery) Satisfiable(body []eq.Atom) (bool, error) {
+	s.once.Do(s.cancel)
+	return s.Store.Satisfiable(body)
+}
+
+func (s *cancelOnFirstQuery) SolveUnder(body []eq.Atom, sub *unify.Subst) (db.Binding, bool, error) {
+	s.once.Do(s.cancel)
+	return s.Store.SolveUnder(body, sub)
 }
 
 // TestStreamCleanFinish runs a short stream to completion and checks

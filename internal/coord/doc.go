@@ -26,15 +26,26 @@
 // Reading a delta of the store's aggregate counter — the pre-metering
 // design — is wrong under concurrency and is not used anywhere.
 //
+// # One component walk
+//
+// The SCC algorithm's per-component step — fold the successors'
+// reachability, unify the reachable set's edges, ground the combined
+// body with one database query — is written once (walk.go) and run on
+// three schedules: the sequential loop, the DAG scheduler behind
+// Options.Parallelism, and Incremental's reconcile, whose search
+// consults its cache of component outcomes before it solves. The §6.1
+// pruning cascade is shared the same way, so batch, parallel and
+// streaming runs agree by construction.
+//
 // # Incremental coordination
 //
 // The batch entry points coordinate a finished set; Incremental is the
 // resumable form for streaming traffic (internal/stream): queries Add
 // and Remove one at a time, the extended graph is maintained
 // incrementally (IncrementalGraph — the batch ExtendedGraph is its
-// one-shot special case), and after each event only the condensation
-// components whose reachable set changed are re-solved, with cached
-// witnesses spliced for the rest. DeltaStats meters each event
+// one-shot special case), and after each event the component walk
+// re-solves only the components whose reachable set changed, splicing
+// cached witnesses for the rest. DeltaStats meters each event
 // exactly; a quiesced Incremental matches a batch run over its live
 // queries observationally (team, values, trace). Arrivals that would
 // make the set unsafe are refused with ErrUnsafeArrival before any

@@ -7,8 +7,6 @@ import (
 
 	"entangled/internal/db"
 	"entangled/internal/eq"
-	"entangled/internal/graph"
-	"entangled/internal/unify"
 )
 
 // ErrUnsafeArrival is returned by Incremental.Add when admitting the
@@ -49,21 +47,6 @@ type DeltaStats struct {
 	DBQueries int64 `json:"db_queries"`
 }
 
-// compOutcome is the cached result of searching one component: the
-// outcome of unifying its reachable set and grounding the combination.
-// It is a pure function of (reachable live query slots, store
-// contents), so it stays valid for splicing as long as neither changes;
-// the dirty-region invariant in DESIGN.md spells this out.
-type compOutcome struct {
-	status   string // "grounded", "unification failed", "no tuple"
-	set      []int  // reachable query slots, sorted ascending
-	subst    *unify.Subst
-	binding  db.Binding
-	combined string
-	grounded bool
-	failed   bool
-}
-
 // Incremental is the resumable state of the SCC Coordination Algorithm
 // over a query set that changes one query at a time. It is the core of
 // the streaming sessions in internal/stream: Add and Remove maintain
@@ -96,20 +79,18 @@ type Incremental struct {
 	cache map[string]*compOutcome // reachable-set signature -> outcome
 
 	// State of the last reconcile pass.
-	pruned []PruneEvent
-	events []ComponentEvent
-	cands  []Candidate
-	last   DeltaStats
-	total  int64 // lifetime database queries
+	trace Trace
+	cands []Candidate
+	last  DeltaStats
+	total int64 // lifetime database queries
 }
 
 // NewIncremental returns an empty resumable coordinator over store.
 // opts.Select chooses among candidates in Result; SkipPruning and
 // SkipSafetyCheck have their batch meanings (SkipSafetyCheck disables
-// the Add-time admission check); Trace, IncrementalUnify and
-// Parallelism are ignored — the trace is available from Trace(), and
-// events re-solve only the dirty region, which is the incremental
-// strategy taken to its conclusion.
+// the Add-time admission check); Trace and Parallelism are ignored —
+// the trace is always kept and available from Trace(), and an event
+// re-solves only its dirty region, one component at a time.
 func NewIncremental(store db.Store, opts Options) *Incremental {
 	return &Incremental{
 		store: store,
@@ -279,8 +260,8 @@ func (inc *Incremental) Candidates() ([]CandidateSet, error) {
 // Query indices are slots.
 func (inc *Incremental) Trace() *Trace {
 	return &Trace{
-		Pruned:     append([]PruneEvent(nil), inc.pruned...),
-		Components: append([]ComponentEvent(nil), inc.events...),
+		Pruned:     append([]PruneEvent(nil), inc.trace.Pruned...),
+		Components: append([]ComponentEvent(nil), inc.trace.Components...),
 	}
 }
 
@@ -309,7 +290,8 @@ func (inc *Incremental) Refresh() (DeltaStats, error) {
 			}
 			sat, err := m.Satisfiable(inc.renamed[i].Body)
 			if err != nil {
-				return DeltaStats{}, err
+				inc.total += m.Count()
+				return DeltaStats{Slot: -1, DBQueries: m.Count()}, err
 			}
 			inc.bodySat[i] = sat
 		}
@@ -321,211 +303,67 @@ func (inc *Incremental) Refresh() (DeltaStats, error) {
 }
 
 // reconcile brings the coordination state up to date after a graph
-// change. Pruning and condensation are recomputed from cached inputs —
-// pure graph work. The component walk mirrors runSCC exactly, except
-// that a component whose reachable set matches a cached outcome splices
-// it instead of re-unifying and re-grounding. Live slots are compacted
-// before condensation so the walk is index-for-index identical to a
-// batch run over the live queries in slot order: same Tarjan numbering,
-// same topological order, same candidate order, same tie-breaks.
-func (inc *Incremental) reconcile(m *db.Meter) (DeltaStats, error) {
-	defer func() { inc.total += m.Count() }()
+// change. Pruning (from the cached body-satisfiability probes) and
+// condensation are recomputed — pure graph work — and the batch
+// component walk runs over the live slots, with a search that splices
+// the cached outcome of a reachable set it has seen before instead of
+// re-unifying and re-grounding it. The walk compacts live slots before
+// condensing, so it is index-for-index the batch walk over the live
+// queries in slot order. Whether or not the pass fails, the returned
+// DBQueries is every query it issued on m.
+func (inc *Incremental) reconcile(m *db.Meter) (d DeltaStats, err error) {
+	defer func() {
+		d.DBQueries = m.Count()
+		inc.total += d.DBQueries
+	}()
 	n := len(inc.queries)
 	edges := inc.g.Edges()
-
-	// §6.1 pruning from cached body-satisfiability probes, then the
-	// provider cascade — same rounds, same order, no database traffic.
 	alive := make([]bool, n)
-	inc.pruned = inc.pruned[:0]
-	for i := 0; i < n; i++ {
-		if !inc.g.Live(i) {
-			continue
-		}
-		if inc.bodySat[i] || inc.opts.SkipPruning {
-			alive[i] = true
-		} else {
-			inc.pruned = append(inc.pruned, PruneEvent{Query: i, Reason: "unsatisfiable body"})
-		}
-	}
-	if !inc.opts.SkipPruning {
-		for {
-			changed := false
-			providers := map[[2]int]int{}
-			for _, e := range edges {
-				if alive[e.FromQ] && alive[e.ToQ] {
-					providers[[2]int{e.FromQ, e.PostIdx}]++
-				}
-			}
-			for i := 0; i < n; i++ {
-				if !alive[i] {
-					continue
-				}
-				for pi := range inc.queries[i].Post {
-					if providers[[2]int{i, pi}] == 0 {
-						alive[i] = false
-						changed = true
-						inc.pruned = append(inc.pruned, PruneEvent{Query: i, Reason: "unsatisfiable postcondition"})
-						break
-					}
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-	}
-
-	// Compact live slots and condense. Compaction is monotone, so the
-	// graph is isomorphic to the batch one with identical adjacency
-	// order.
 	live := make([]int, 0, n)
-	idx := make([]int, n)
 	for i := 0; i < n; i++ {
 		if inc.g.Live(i) {
-			idx[i] = len(live)
+			alive[i] = true
 			live = append(live, i)
 		}
 	}
-	cg := graph.New(len(live))
-	for _, e := range edges {
-		if alive[e.FromQ] && alive[e.ToQ] {
-			cg.AddEdge(idx[e.FromQ], idx[e.ToQ])
-		}
-	}
-	dag, _, members := cg.Condense()
-	order, err := dag.TopoOrder()
-	if err != nil {
-		return DeltaStats{}, err // cannot happen: condensation is a DAG
-	}
-	reverse(order)
-
-	nc := dag.N()
-	reach := make([][]bool, nc)
-	failed := make([]bool, nc)
-	newCache := make(map[string]*compOutcome, nc)
-	inc.events = inc.events[:0]
+	inc.trace.Pruned = inc.trace.Pruned[:0]
+	inc.trace.Components = inc.trace.Components[:0]
 	inc.cands = inc.cands[:0]
-	d := DeltaStats{Components: nc}
+	if !inc.opts.SkipPruning {
+		cached := func(i int) (bool, error) { return inc.bodySat[i], nil }
+		if err := prune(inc.renamed, edges, alive, cached, &inc.trace); err != nil {
+			return d, err
+		}
+	}
 
-	for _, c := range order {
-		slots := make([]int, len(members[c]))
-		for j, mcj := range members[c] {
-			slots[j] = live[mcj]
-		}
-		ev := ComponentEvent{Members: slots}
-		if !alive[slots[0]] {
-			failed[c] = true
-			ev.Status = "pruned"
-			inc.events = append(inc.events, ev)
-			continue
-		}
-		r := make([]bool, nc)
-		r[c] = true
-		ok := true
-		for _, succ := range dag.Succ(c) {
-			if failed[succ] {
-				ok = false
-				break
-			}
-			for i, b := range reach[succ] {
-				if b {
-					r[i] = true
-				}
-			}
-		}
-		reach[c] = r
-		if !ok {
-			failed[c] = true
-			ev.Status = "successor failed"
-			inc.events = append(inc.events, ev)
-			continue
-		}
-
-		// The reachable set, in ascending component order like runSCC
-		// (the combined body is assembled in this order, so the frozen
-		// join plan — and with it the chosen witness — matches batch).
-		var set []int
-		for cc := 0; cc < nc; cc++ {
-			if r[cc] {
-				for _, mcc := range members[cc] {
-					set = append(set, live[mcc])
-				}
-			}
-		}
+	w, err := newWalk(inc.renamed, edges, alive, live, m, true)
+	if err != nil {
+		return d, err
+	}
+	d.Components = len(w.order)
+	cache := make(map[string]*compOutcome, len(w.order))
+	w.search = func(set []int, inSet []bool) (compOutcome, error) {
 		sig := sigOf(set)
 		out := inc.cache[sig]
-		if out == nil {
-			out, err = inc.solve(set, edges, m)
-			if err != nil {
-				return d, err
-			}
-			d.Dirty++
-		} else {
+		if out != nil {
 			d.Reused++
+		} else {
+			solved, err := w.solve(set, inSet)
+			if err != nil {
+				return solved, err
+			}
+			out = &solved
+			d.Dirty++
 		}
-		newCache[sig] = out
-		failed[c] = out.failed
-		ev.Status = out.status
-		ev.Set = out.set
-		ev.Combined = out.combined
-		if out.grounded {
-			ev.SetSize = len(out.set)
-			inc.cands = append(inc.cands, Candidate{Set: out.set, subst: out.subst, binding: out.binding})
-		}
-		inc.events = append(inc.events, ev)
+		cache[sig] = out
+		return *out, nil
 	}
-	inc.cache = newCache
-	d.DBQueries = m.Count()
+	if err := w.run(); err != nil {
+		return d, err
+	}
+	inc.cache = cache
+	inc.cands = w.results(inc.cands, &inc.trace)
 	return d, nil
-}
-
-// solve runs one component's search exactly as the batch walk does:
-// unify every edge inside the reachable set (edges arrive in canonical
-// order, so the union sequence — and the resulting substitution — is
-// the one a batch run computes) and ground the combined body with a
-// single database query.
-func (inc *Incremental) solve(set []int, edges []ExtendedEdge, m *db.Meter) (*compOutcome, error) {
-	inSet := make([]bool, len(inc.queries))
-	for _, i := range set {
-		inSet[i] = true
-	}
-	s := unify.NewSized(2*len(set) + 4)
-	for _, e := range edges {
-		if !inSet[e.FromQ] || !inSet[e.ToQ] {
-			continue
-		}
-		p := inc.renamed[e.FromQ].Post[e.PostIdx]
-		h := inc.renamed[e.ToQ].Head[e.HeadIdx]
-		if err := s.UnifyAtoms(p, h); err != nil {
-			return &compOutcome{status: "unification failed", set: sortedCopy(set), failed: true}, nil
-		}
-	}
-	nAtoms := 0
-	for _, i := range set {
-		nAtoms += len(inc.renamed[i].Body)
-	}
-	body := make([]eq.Atom, 0, nAtoms)
-	for _, i := range set {
-		body = append(body, inc.renamed[i].Body...)
-	}
-	bind, found, err := m.SolveUnder(body, s)
-	if err != nil {
-		return nil, err
-	}
-	out := &compOutcome{
-		set:      sortedCopy(set),
-		subst:    s,
-		combined: renderCombined(s.ApplyAll(body)),
-	}
-	if !found {
-		out.status = "no tuple"
-		out.failed = true
-		return out, nil
-	}
-	out.status = "grounded"
-	out.grounded = true
-	out.binding = bind
-	return out, nil
 }
 
 // sigOf builds the cache key of a reachable slot set in assembly

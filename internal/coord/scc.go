@@ -82,23 +82,12 @@ type Options struct {
 	// Trace, when non-nil, receives a step-by-step record of the run
 	// (pruning events and per-component outcomes); see coord.Trace.
 	Trace *Trace
-	// IncrementalUnify reuses each successor component's accumulated
-	// MGU instead of recomputing the reachable set's unifier from
-	// scratch — the strategy §6.1 describes for the paper's
-	// implementation ("unifies the queries corresponding to that node
-	// with the combined queries that resulted from its successors").
-	// Results are identical either way; the ablation benchmark compares
-	// cost.
-	IncrementalUnify bool
 	// Parallelism is the number of worker goroutines used to process
 	// independent strongly connected components concurrently (the
 	// component DAG bounds the available parallelism: a component runs
 	// once all its successors have). Values <= 1 select the sequential
-	// path. The candidate family, its order, and any Trace are identical
-	// to a sequential run. The parallel path always recomputes each
-	// component's MGU from scratch (substitutions are union-find
-	// structures that mutate on read, so successors' MGUs cannot be
-	// shared across goroutines); IncrementalUnify is ignored.
+	// path. Both schedules run the same per-component step, so the
+	// candidate family, its order, and any Trace are identical.
 	Parallelism int
 }
 
@@ -115,8 +104,9 @@ type Options struct {
 // yields the candidate set R(q) of all queries reachable from it; the
 // selector picks among candidates (maximum size by default).
 //
-// The implementation lives in runSCC (trace.go) so that a single code
-// path serves plain, traced and candidate-enumerating runs.
+// The implementation lives in runSCC (walk.go), whose component walk
+// serves plain, traced, parallel and candidate-enumerating runs, and
+// the streaming Incremental too.
 //
 // The store may be shared with concurrent requests: every query this
 // run issues is counted on a private db.Meter, so Result.DBQueries is

@@ -10,6 +10,7 @@ import (
 	"entangled/internal/coord"
 	"entangled/internal/db"
 	"entangled/internal/eq"
+	"entangled/internal/fault"
 	"entangled/internal/stream"
 	"entangled/internal/workload"
 )
@@ -242,6 +243,68 @@ func TestSessionStoreErrorStaysConsistent(t *testing.T) {
 	}
 	if up.TeamSize != 2 {
 		t.Fatalf("team %d after recovery", up.TeamSize)
+	}
+}
+
+// TestSessionFailedPassReportsItsQueries fails an arrival's grounding
+// query, then a refresh's third pruning probe, and checks that each
+// failed pass still reports every query it issued, so the session's
+// totals stay exact and agree with the coordinator's own lifetime
+// count.
+func TestSessionFailedPassReportsItsQueries(t *testing.T) {
+	boom := errors.New("grounding query failed")
+	store := func() (*db.Meter, *fault.Injector) {
+		inj := fault.NewInjector(1)
+		return db.NewMeter(fault.NewStore(chainStore(8), inj)), inj
+	}
+	sessStore, sessInj := store()
+	incStore, incInj := store()
+	s := stream.New(sessStore, stream.Options{})
+	inc := coord.NewIncremental(incStore, coord.Options{})
+	for i := 0; i < 6; i++ {
+		q := workload.ChainQuery(0, i, 8)
+		if _, err := s.Join(q); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := inc.Add(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fail := fault.Rule{Op: fault.OpQuery, Path: "solveunder", Count: 1, Fault: fault.Fault{Err: boom}}
+	sessInj.Add(fail)
+	incInj.Add(fail)
+	q := workload.ChainQuery(0, 6, 8)
+	before := sessStore.Count()
+	up, err := s.Join(q)
+	if !errors.Is(err, boom) {
+		t.Fatalf("join: want the grounding failure, got %v", err)
+	}
+	if issued := sessStore.Count() - before; issued == 0 || up.Stats.DBQueries != issued {
+		t.Fatalf("failed event reports %d queries, issued %d", up.Stats.DBQueries, issued)
+	}
+	if _, _, err := inc.Add(q); !errors.Is(err, boom) {
+		t.Fatalf("add: want the grounding failure, got %v", err)
+	}
+
+	// A refresh whose pruning probe fails reports its queries too.
+	failProbe := fault.Rule{Op: fault.OpQuery, Path: "satisfiable", After: 2, Count: 1, Fault: fault.Fault{Err: boom}}
+	sessInj.Add(failProbe)
+	incInj.Add(failProbe)
+	before = sessStore.Count()
+	d, err := s.Refresh()
+	if !errors.Is(err, boom) {
+		t.Fatalf("refresh: want the probe failure, got %v", err)
+	}
+	if issued := sessStore.Count() - before; d.DBQueries != issued {
+		t.Fatalf("failed refresh reports %d queries, issued %d", d.DBQueries, issued)
+	}
+	if _, err := inc.Refresh(); !errors.Is(err, boom) {
+		t.Fatalf("incremental refresh: want the probe failure, got %v", err)
+	}
+	got, want := s.Totals().DBQueries, inc.TotalDBQueries()
+	if got != want || got != sessStore.Count() {
+		t.Fatalf("session total %d, coordinator total %d, issued %d", got, want, sessStore.Count())
 	}
 }
 
