@@ -1,10 +1,11 @@
-package coord
+package db_test
 
 import (
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"entangled/internal/coord"
 	"entangled/internal/db"
 	"entangled/internal/workload"
 )
@@ -13,43 +14,42 @@ import (
 // coordination level. For random safe query sets on a plain instance
 // and on ShardedInstance{K=1,2,8}, SCCCoordinate with compiled plans
 // returns the same team, the same step-by-step trace and the same
-// exact Result.DBQueries as with the seed evaluator
-// (DisableCompiledPlans), and every witness verifies everywhere. Only
-// witness values may differ (choose-1 enumeration order is not part of
-// the contract).
+// exact Result.DBQueries as with the seed reference evaluator over a
+// plain instance holding the same tuples, and every witness verifies
+// everywhere. Only witness values may differ (choose-1 enumeration
+// order is not part of the contract).
 func TestCompiledPlansEquivalentAtCoordLevel(t *testing.T) {
 	const rows = 12
 	rng := rand.New(rand.NewSource(7))
+
+	plain := db.NewInstance()
+	workload.UserTable(plain, rows)
+	ref := db.NewInstance()
+	workload.UserTable(ref, rows)
+	seed := db.NewSeedStore(ref)
 
 	type storePair struct {
 		name     string
 		compiled db.Store
 		seed     db.Store
 	}
-	var pairs []storePair
-	{
-		c := newWorkloadInstance(rows)
-		s := newWorkloadInstance(rows)
-		s.DisableCompiledPlans = true
-		pairs = append(pairs, storePair{"plain", c, s})
-	}
+	pairs := []storePair{{"plain", plain, seed}}
 	for _, k := range []int{1, 2, 8} {
-		c := shardedWorkloadInstance(k, rows)
-		s := shardedWorkloadInstance(k, rows)
-		s.SetDisableCompiledPlans(true)
-		pairs = append(pairs, storePair{"k=" + string(rune('0'+k)), c, s})
+		sh := db.NewShardedInstance(k)
+		workload.UserTableSharded(sh, rows)
+		pairs = append(pairs, storePair{"k=" + string(rune('0'+k)), sh, seed})
 	}
 
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(10)
 		qs := workload.RandomSafeQueries(n, rows, 0.3, 0.7, rng)
 		for _, pr := range pairs {
-			var trC, trS Trace
-			got, err := SCCCoordinate(qs, pr.compiled, Options{Trace: &trC})
+			var trC, trS coord.Trace
+			got, err := coord.SCCCoordinate(qs, pr.compiled, coord.Options{Trace: &trC})
 			if err != nil {
 				t.Fatalf("trial %d %s compiled: %v", trial, pr.name, err)
 			}
-			want, err := SCCCoordinate(qs, pr.seed, Options{Trace: &trS})
+			want, err := coord.SCCCoordinate(qs, pr.seed, coord.Options{Trace: &trS})
 			if err != nil {
 				t.Fatalf("trial %d %s seed: %v", trial, pr.name, err)
 			}
@@ -70,13 +70,13 @@ func TestCompiledPlansEquivalentAtCoordLevel(t *testing.T) {
 			}
 			// Witness values may differ; each must verify on both paths'
 			// stores (identical tuples).
-			if err := Verify(qs, got.Set, got.Values, pr.compiled); err != nil {
+			if err := coord.Verify(qs, got.Set, got.Values, pr.compiled); err != nil {
 				t.Fatalf("trial %d %s: compiled witness fails on compiled store: %v", trial, pr.name, err)
 			}
-			if err := Verify(qs, got.Set, got.Values, pr.seed); err != nil {
+			if err := coord.Verify(qs, got.Set, got.Values, pr.seed); err != nil {
 				t.Fatalf("trial %d %s: compiled witness fails on seed store: %v", trial, pr.name, err)
 			}
-			if err := Verify(qs, want.Set, want.Values, pr.compiled); err != nil {
+			if err := coord.Verify(qs, want.Set, want.Values, pr.compiled); err != nil {
 				t.Fatalf("trial %d %s: seed witness fails on compiled store: %v", trial, pr.name, err)
 			}
 		}

@@ -45,7 +45,9 @@ func (in *Instance) LoadCSV(name string, r io.Reader) (*Relation, error) {
 }
 
 // DumpCSV writes the relation's tuples as headerless CSV in insertion
-// order.
+// order, such that a csv.Reader reads back exactly the stored values. A
+// value containing "\r\n" is an error: csv.Reader would read it back
+// as "\n".
 func (r *Relation) DumpCSV(w io.Writer) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -53,7 +55,19 @@ func (r *Relation) DumpCSV(w io.Writer) error {
 	record := make([]string, r.Arity())
 	for _, t := range r.tuples {
 		for i, v := range t {
+			if strings.Contains(string(v), "\r\n") {
+				return fmt.Errorf("db: %s: value %q contains \\r\\n, which CSV cannot carry", r.Name, v)
+			}
 			record[i] = string(v)
+		}
+		if len(record) == 1 && record[0] == "" {
+			// csv.Writer renders a lone empty field as a blank line,
+			// which csv.Reader skips; quote it so the tuple survives.
+			cw.Flush()
+			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+				return err
+			}
+			continue
 		}
 		if err := cw.Write(record); err != nil {
 			return err

@@ -145,7 +145,7 @@ type Instance struct {
 	mu   sync.RWMutex
 	rels map[string]*Relation
 
-	// UseIndexes controls whether the evaluator consults hash indexes;
+	// UseIndexes controls whether query plans probe hash indexes;
 	// turning it off degrades lookups to scans (used by the ablation
 	// benchmarks).
 	UseIndexes bool
@@ -156,13 +156,6 @@ type Instance struct {
 	// dominates and makes the reported curves linear in the number of
 	// queries). Off by default; cmd/coordbench exposes it as -latency.
 	SimulatedLatency time.Duration
-
-	// DisableCompiledPlans routes every query through the seed
-	// backtracking evaluator instead of compiled plans. Answers are
-	// identical (the equivalence property tests prove it); the knob
-	// exists for ablation benchmarks and as an escape hatch. Configure
-	// before sharing the instance across goroutines.
-	DisableCompiledPlans bool
 
 	queries int64 // number of conjunctive queries answered (atomic)
 

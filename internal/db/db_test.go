@@ -302,9 +302,9 @@ func naiveSolveAll(in *Instance, body []eq.Atom) []Binding {
 	return results
 }
 
-// Property: the indexed backtracking evaluator agrees with the naive
-// nested-loop evaluator on answer sets, over random small instances and
-// random conjunctive bodies.
+// Property: compiled-plan evaluation agrees with the naive nested-loop
+// evaluator on answer sets, over random small instances and random
+// conjunctive bodies.
 func TestQuickEvalMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := func() bool {

@@ -4,9 +4,9 @@
 // JDBC; the algorithms treat the database purely as an oracle that
 // answers conjunctive (select-project-join) queries under choose-1
 // semantics and that can enumerate all answers. This package provides
-// that oracle: named relations with hash indexes, a backtracking join
-// evaluator, and counters of issued queries so that experiments report
-// "number of database queries" exactly as the paper does.
+// that oracle: named relations with hash indexes, compiled join plans,
+// and counters of issued queries so that experiments report "number of
+// database queries" exactly as the paper does.
 //
 // # Stores
 //
@@ -27,8 +27,8 @@
 // # Sharding contract
 //
 // Tuple placement and lookup routing share one hash (shardIndex): a
-// tuple of relation R lives on shard hash(t[R.hashCol]) mod K. The
-// cross-shard evaluator exploits the invariant — an atom whose hash
+// tuple of relation R lives on shard hash(t[R.hashCol]) mod K. A
+// cross-shard plan exploits the invariant — an atom whose hash
 // column is bound probes one part; anything else scatter-gathers over
 // all parts — so every conjunctive query is answered exactly as on an
 // unsharded instance: same satisfiability, same answer set. Only the
@@ -51,18 +51,19 @@
 // store and relation versions on every hit, so AddRelation /
 // CreateRelation and BuildIndex invalidate stale plans lazily; Insert
 // never invalidates (data growth cannot break a plan, only age its
-// join-order tie-breaks). The seed backtracking evaluator remains
-// behind Instance.DisableCompiledPlans as an ablation path and as the
-// oracle for the equivalence property tests: identical answer
-// multisets, identical ok, identical query counts.
+// join-order tie-breaks). Compiled plans are the only evaluation path.
+// The seed backtracking join, with per-call join ordering over a
+// binding map, lives on only in tests as the reference (seedStore in
+// seed_test.go): the equivalence property tests compare every store
+// against it for identical answer multisets, identical ok and identical
+// query counts.
 //
 // # Metering contract
 //
-// Each of Solve, SolveAll, Satisfiable, SolveUnder, Project, SelectOne
-// and SolveFunc counts as exactly one conjunctive query; Contains and
-// Domain are free (verifier primitives). Compiled plans change nothing
-// here: a plan execution is one query however many parts it probes,
-// exactly like the seed evaluator. Instance and ShardedInstance
+// Each of Solve, SolveAll, Satisfiable, SolveUnder, Project and
+// SelectOne counts as exactly one conjunctive query; Contains and
+// Domain are free (verifier primitives). A plan execution is one query
+// however many parts it probes. Instance and ShardedInstance
 // count into a shared aggregate (QueriesIssued), which concurrent
 // requests pollute for one another. Meter wraps any Store with a
 // private counter so a single request's cost is exact under concurrent

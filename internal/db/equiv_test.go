@@ -13,21 +13,16 @@ import (
 )
 
 // equivStores is one trial's family of stores holding identical tuples:
-// a plain instance plus hash-partitioned copies at K=1,2,8.
+// a plain instance plus hash-partitioned copies at K=1,2,8, and the seed
+// reference over the plain instance.
 type equivStores struct {
 	plain   *Instance
 	sharded map[int]*ShardedInstance
+	seed    *seedStore
 }
 
-// setPlans toggles compiled plans on every store in the family.
-func (es *equivStores) setPlans(enabled bool) {
-	es.plain.DisableCompiledPlans = !enabled
-	for _, sh := range es.sharded {
-		sh.SetDisableCompiledPlans(!enabled)
-	}
-}
-
-func (es *equivStores) all() map[string]Store {
+// compiled returns every store that answers through compiled plans.
+func (es *equivStores) compiled() map[string]Store {
 	out := map[string]Store{"plain": es.plain}
 	for k, sh := range es.sharded {
 		out[fmt.Sprintf("k=%d", k)] = sh
@@ -91,6 +86,7 @@ func buildEquivStores(rng *rand.Rand) *equivStores {
 		}
 	}
 	es.plain.UseIndexes = useIndexes
+	es.seed = newSeedStore(es.plain)
 	for _, k := range []int{1, 2, 8} {
 		sh := NewShardedInstance(k)
 		for _, sp := range specs {
@@ -180,14 +176,32 @@ func sameMultiset(t *testing.T, ctx string, a, b []string) {
 	}
 }
 
+// subMultiset reports whether every answer occurs in super at least as
+// often as in sub.
+func subMultiset(sub, super []string) bool {
+	count := map[string]int{}
+	for _, s := range super {
+		count[s]++
+	}
+	for _, s := range sub {
+		if count[s]--; count[s] < 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // TestQuickCompiledMatchesSeed is the compiled-evaluator equivalence
 // property test: across random schemas, random bodies, random
-// substitutions, shard counts K=1,2,8 and indexes on/off, the compiled
-// path returns the same multiset of bindings, the same ok, and the same
-// query counts (db-level DBQueries) as the seed evaluator — and the
-// sharded stores agree with the plain one.
+// substitutions, shard counts K=1,2,8 and indexes on/off, every
+// compiled store returns the same multiset of bindings, the same ok,
+// and the same query counts (db-level DBQueries) as the seed reference
+// evaluator; a bounded SolveAll(body, k) returns min(k, |all|) answers
+// drawn from the reference multiset, and a SolveUnder binding is an
+// answer of the substituted body.
 func TestQuickCompiledMatchesSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
+	limits := rand.New(rand.NewSource(5678))
 	for trial := 0; trial < 120; trial++ {
 		es := buildEquivStores(rng)
 		var bodies [][]eq.Atom
@@ -199,16 +213,22 @@ func TestQuickCompiledMatchesSeed(t *testing.T) {
 
 		type answers struct {
 			all     []string
+			bounded []string
 			solveOK bool
 			sat     bool
 			underOK bool
+			under   []string // the SolveUnder binding, if any
 			queries int64
 		}
-		collect := func(st Store, body []eq.Atom) answers {
+		collect := func(st Store, body []eq.Atom, limit int) answers {
 			start := st.QueriesIssued()
 			res, err := st.SolveAll(body, 0)
 			if err != nil {
 				t.Fatalf("trial %d: SolveAll: %v", trial, err)
+			}
+			bounded, err := st.SolveAll(body, limit)
+			if err != nil {
+				t.Fatalf("trial %d: SolveAll(limit %d): %v", trial, limit, err)
 			}
 			_, ok, err := st.Solve(body)
 			if err != nil {
@@ -218,27 +238,30 @@ func TestQuickCompiledMatchesSeed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: Satisfiable: %v", trial, err)
 			}
-			_, underOK, err := st.SolveUnder(body, subst)
+			under, underOK, err := st.SolveUnder(body, subst)
 			if err != nil {
 				t.Fatalf("trial %d: SolveUnder: %v", trial, err)
 			}
 			return answers{
 				all:     bindingMultiset(res),
+				bounded: bindingMultiset(bounded),
 				solveOK: ok,
 				sat:     sat,
 				underOK: underOK,
+				under:   bindingMultiset([]Binding{under}),
 				queries: st.QueriesIssued() - start,
 			}
 		}
 
 		for bi, body := range bodies {
-			var plainCompiled answers
-			for name, st := range es.all() {
-				es.setPlans(true)
-				compiled := collect(st, body)
-				es.setPlans(false)
-				seed := collect(st, body)
-
+			limit := 1 + limits.Intn(8)
+			seed := collect(es.seed, body, limit)
+			underAll, err := es.seed.SolveAll(subst.ApplyAll(body), 0)
+			if err != nil {
+				t.Fatalf("trial %d: seed SolveAll under subst: %v", trial, err)
+			}
+			for name, st := range es.compiled() {
+				compiled := collect(st, body, limit)
 				ctx := fmt.Sprintf("trial %d body %d store %s", trial, bi, name)
 				sameMultiset(t, ctx, compiled.all, seed.all)
 				if compiled.solveOK != seed.solveOK || compiled.sat != seed.sat || compiled.underOK != seed.underOK {
@@ -247,18 +270,14 @@ func TestQuickCompiledMatchesSeed(t *testing.T) {
 				if compiled.queries != seed.queries {
 					t.Fatalf("%s: DBQueries differ: compiled %d seed %d", ctx, compiled.queries, seed.queries)
 				}
-				if name == "plain" {
-					plainCompiled = compiled
+				if want := min(limit, len(seed.all)); len(compiled.bounded) != want {
+					t.Fatalf("%s: SolveAll(limit %d) returned %d answers, want %d", ctx, limit, len(compiled.bounded), want)
 				}
-			}
-			// Sharded stores must agree with the plain instance.
-			for k, sh := range es.sharded {
-				es.setPlans(true)
-				got := collect(sh, body)
-				ctx := fmt.Sprintf("trial %d body %d k=%d vs plain", trial, bi, k)
-				sameMultiset(t, ctx, got.all, plainCompiled.all)
-				if got.solveOK != plainCompiled.solveOK || got.sat != plainCompiled.sat || got.underOK != plainCompiled.underOK {
-					t.Fatalf("%s: ok flags differ", ctx)
+				if !subMultiset(compiled.bounded, seed.all) {
+					t.Fatalf("%s: SolveAll(limit %d) answers %v not drawn from %v", ctx, limit, compiled.bounded, seed.all)
+				}
+				if compiled.underOK && !subMultiset(compiled.under, bindingMultiset(underAll)) {
+					t.Fatalf("%s: SolveUnder binding %v is not an answer of the substituted body", ctx, compiled.under)
 				}
 			}
 		}
@@ -266,7 +285,8 @@ func TestQuickCompiledMatchesSeed(t *testing.T) {
 }
 
 // TestCompiledContainsMatchesSeed checks the membership primitive on
-// random ground atoms across the store family and both evaluator paths.
+// random ground atoms: every compiled store agrees with the seed
+// reference.
 func TestCompiledContainsMatchesSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	arities := map[string]int{"A": 2, "B": 1, "C": 3, "Nope": 2}
@@ -280,16 +300,10 @@ func TestCompiledContainsMatchesSeed(t *testing.T) {
 				args[j] = eq.C(eq.Value(strconv.Itoa(rng.Intn(5))))
 			}
 			a := eq.NewAtom(n, args...)
-			es.setPlans(true)
-			want := es.plain.Contains(a)
-			es.setPlans(false)
-			if got := es.plain.Contains(a); got != want {
-				t.Fatalf("trial %d: plain Contains(%s) compiled %v seed %v", trial, a, want, got)
-			}
-			es.setPlans(true)
-			for k, sh := range es.sharded {
-				if got := sh.Contains(a); got != want {
-					t.Fatalf("trial %d: k=%d Contains(%s) = %v, plain %v", trial, k, a, got, want)
+			want := es.seed.Contains(a)
+			for name, st := range es.compiled() {
+				if got := st.Contains(a); got != want {
+					t.Fatalf("trial %d: %s Contains(%s) = %v, seed %v", trial, name, a, got, want)
 				}
 			}
 		}

@@ -13,27 +13,26 @@ import (
 // This file implements compiled query plans: the join strategy for a
 // conjunctive body is derived once per body *shape* and reused across
 // every query that shares the shape, instead of being re-derived inside
-// the backtracking loop of every call (the seed evaluator's pickAtom
-// re-scored every remaining atom at every search node — the single
-// hottest function in the coordination profiles).
+// the backtracking loop of every call (re-scoring every remaining atom
+// at every search node was the single hottest function in the
+// coordination profiles).
 //
 // A shape abstracts the parts of a body that do not affect strategy:
 // constants are reduced to a placeholder (their values only matter at
 // execution time) and variables are numbered by first occurrence (their
-// names only matter at the API boundary). Everything the evaluator used
-// to look up dynamically is frozen into the plan:
+// names only matter at the API boundary). Everything a per-call join
+// would look up dynamically is frozen into the plan:
 //
-//   - the atom join order, chosen by the same greedy heuristic the seed
-//     evaluator applied per call (most bound arguments first, ties to
-//     the smaller relation);
+//   - the atom join order, chosen by a greedy heuristic (most bound
+//     arguments first, ties to the smaller relation);
 //   - an integer slot for every variable, so the hot loop runs over a
 //     []eq.Value frame with no map operations and no per-match
 //     newVars allocations — a slot is written by the step that first
 //     binds it and only ever read by later steps, so backtracking needs
 //     no unbinding at all;
 //   - per-step probe candidates: the columns statically known to be
-//     bound when the step runs, in the same positional order the seed
-//     evaluator scanned, so index selection is a precomputed list walk;
+//     bound when the step runs, in positional order, so index selection
+//     is a precomputed list walk;
 //   - the sorted relation lock order and, for sharded stores, the
 //     hash-column routing mode of every step (constant, frame slot, or
 //     scatter over all parts).
@@ -91,8 +90,7 @@ type planStep struct {
 	rel  int // index into plan.rels
 	args []planArg
 	// bound lists the probe-candidate columns in positional order; the
-	// executor probes the first one with a live hash index, exactly as
-	// the seed evaluator's candidateRows scan did.
+	// executor probes the first one with a live hash index.
 	bound   []boundCol
 	route   routeKind
 	routeIx int // const index (routeConst) or frame slot (routeFrame)
@@ -196,9 +194,8 @@ func (sb *shapeBuf) build(body []eq.Atom, s *unify.Subst) {
 
 // compilePlan builds the plan for one body shape. src resolves a
 // relation name to its shard parts and hash column (key -1 and a single
-// part for a plain instance). The errors match the seed evaluator's, so
-// callers surface identical messages on unknown relations and arity
-// mismatches.
+// part for a plain instance). An unknown relation or an atom whose
+// arity differs from its relation's is an error.
 func compilePlan(shape string, body []eq.Atom, instVersions []uint64, src func(name string) (parts []*Relation, key int, err error)) (*plan, error) {
 	p := &plan{shape: shape, instVersions: instVersions}
 
@@ -264,8 +261,7 @@ func compilePlan(shape string, body []eq.Atom, instVersions []uint64, src func(n
 		}
 	}
 
-	// Pass 2: fix the join order with the seed evaluator's greedy
-	// heuristic — most bound arguments first (constants and variables
+	// Pass 2: fix the join order with the greedy heuristic — most bound arguments first (constants and variables
 	// bound by earlier steps), ties to the smaller relation — and
 	// classify every column against the frozen order.
 	n := len(body)
@@ -310,7 +306,7 @@ func compilePlan(shape string, body []eq.Atom, instVersions []uint64, src func(n
 			}
 		}
 		st.args = args
-		// Shard routing mirrors the seed partsFor: only values bound
+		// Shard routing follows the placement invariant: only values bound
 		// before the step probes (constants and earlier-step slots) can
 		// narrow the part set.
 		if r := &rels[st.rel]; r.key >= 0 && len(r.parts) > 1 && r.key < len(args) {
@@ -330,8 +326,8 @@ func compilePlan(shape string, body []eq.Atom, instVersions []uint64, src func(n
 	p.nSlots = len(p.slotAt)
 
 	// Sort relations by name: bind() acquires read locks in rels order,
-	// giving the same deterministic (name, shard) total order as the
-	// seed lock planners.
+	// giving one deterministic (name, shard) total order to every query,
+	// routed single-shard or cross-shard.
 	order := make([]int, len(rels))
 	for i := range order {
 		order[i] = i

@@ -10,9 +10,19 @@ import (
 )
 
 // The BenchmarkSolveCompiled* family isolates the evaluation layer:
-// each benchmark runs the same query stream through the seed evaluator
-// (DisableCompiledPlans) and through compiled plans, so the plan win is
-// measured without any coordination-algorithm overhead around it.
+// each benchmark runs the same query stream through the seed reference
+// evaluator (seed_test.go) and through compiled plans, so the plan win
+// is measured without any coordination-algorithm overhead around it.
+
+// benchMode is one sub-run: the seed reference or the compiled store.
+type benchMode struct {
+	name string
+	st   Store
+}
+
+func seedAndCompiled(in *Instance) []benchMode {
+	return []benchMode{{"seed", newSeedStore(in)}, {"compiled", in}}
+}
 
 func benchTable(rows int, indexed bool) *Instance {
 	in := NewInstance()
@@ -30,13 +40,12 @@ func benchTable(rows int, indexed bool) *Instance {
 // constant on an indexed column.
 func BenchmarkSolveCompiledIndexed(b *testing.B) {
 	in := benchTable(20000, true)
-	for _, mode := range []string{"seed", "compiled"} {
-		in.DisableCompiledPlans = mode == "seed"
-		b.Run(mode, func(b *testing.B) {
+	for _, mode := range seedAndCompiled(in) {
+		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				body := []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C(eq.Value("c"+strconv.Itoa(i%20000))))}
-				if _, ok, err := in.Solve(body); err != nil || !ok {
+				if _, ok, err := mode.st.Solve(body); err != nil || !ok {
 					b.Fatalf("ok=%v err=%v", ok, err)
 				}
 			}
@@ -48,13 +57,12 @@ func BenchmarkSolveCompiledIndexed(b *testing.B) {
 // evaluator materialised an O(rows) candidate list per probe.
 func BenchmarkSolveCompiledScan(b *testing.B) {
 	in := benchTable(2000, false)
-	for _, mode := range []string{"seed", "compiled"} {
-		in.DisableCompiledPlans = mode == "seed"
-		b.Run(mode, func(b *testing.B) {
+	for _, mode := range seedAndCompiled(in) {
+		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				body := []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C(eq.Value("c"+strconv.Itoa(i%2000))))}
-				if _, ok, err := in.Solve(body); err != nil || !ok {
+				if _, ok, err := mode.st.Solve(body); err != nil || !ok {
 					b.Fatalf("ok=%v err=%v", ok, err)
 				}
 			}
@@ -64,7 +72,8 @@ func BenchmarkSolveCompiledScan(b *testing.B) {
 
 // BenchmarkSolveCompiledSharded: routed point queries on an 8-way
 // hash-partitioned relation (bind-time part narrowing + per-part probe
-// resolution).
+// resolution). It has no seed sub-run: the reference runs over a plain
+// instance only.
 func BenchmarkSolveCompiledSharded(b *testing.B) {
 	sh := NewShardedInstance(8)
 	r := sh.CreateRelation("T", 1, "key", "val")
@@ -72,17 +81,13 @@ func BenchmarkSolveCompiledSharded(b *testing.B) {
 		r.Insert(eq.Value("t"+strconv.Itoa(i)), eq.Value("c"+strconv.Itoa(i)))
 	}
 	r.BuildIndex(1)
-	for _, mode := range []string{"seed", "compiled"} {
-		sh.SetDisableCompiledPlans(mode == "seed")
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				body := []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C(eq.Value("c"+strconv.Itoa(i%20000))))}
-				if _, ok, err := sh.Solve(body); err != nil || !ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body := []eq.Atom{eq.NewAtom("T", eq.V("x"), eq.C(eq.Value("c"+strconv.Itoa(i%20000))))}
+		if _, ok, err := sh.Solve(body); err != nil || !ok {
+			b.Fatalf("ok=%v err=%v", ok, err)
+		}
 	}
 }
 
@@ -107,12 +112,11 @@ func BenchmarkSolveCompiledSolveUnder(b *testing.B) {
 		}
 		subs[si] = s
 	}
-	for _, mode := range []string{"seed", "compiled"} {
-		in.DisableCompiledPlans = mode == "seed"
-		b.Run(mode, func(b *testing.B) {
+	for _, mode := range seedAndCompiled(in) {
+		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, ok, err := in.SolveUnder(body, subs[i%len(subs)]); err != nil || !ok {
+				if _, ok, err := mode.st.SolveUnder(body, subs[i%len(subs)]); err != nil || !ok {
 					b.Fatalf("ok=%v err=%v", ok, err)
 				}
 			}

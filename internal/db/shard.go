@@ -13,7 +13,7 @@ import (
 
 // shardIndex routes a hash-column value to a shard: FNV-1a over the
 // value's bytes, reduced modulo the shard count. Both tuple placement
-// (ShardedRelation.Insert) and lookup routing (the evaluator, Contains,
+// (ShardedRelation.Insert) and lookup routing (compiled plans, Contains,
 // Route) must use this one function, or the placement invariant breaks.
 func shardIndex(v eq.Value, k int) int {
 	h := uint32(2166136261)
@@ -47,10 +47,9 @@ type ShardedInstance struct {
 	shards []*Instance
 	keys   map[string]int // relation name -> hash column
 
-	useIndexes   bool
-	disablePlans bool
-	latency      time.Duration
-	queries      int64 // cross-shard conjunctive queries answered (atomic)
+	useIndexes bool
+	latency    time.Duration
+	queries    int64 // cross-shard conjunctive queries answered (atomic)
 
 	// version counts schema changes (CreateRelation); cross-shard
 	// compiled plans record it and retire themselves when it moves.
@@ -92,8 +91,8 @@ func (sh *ShardedInstance) HashColumns() map[string]int {
 // placement invariant when writing through it directly.
 func (sh *ShardedInstance) Shard(i int) *Instance { return sh.shards[i] }
 
-// SetUseIndexes toggles hash-index use on the cross-shard evaluator and
-// on every shard. Configure before sharing across goroutines.
+// SetUseIndexes toggles hash-index use on cross-shard plans and on every
+// shard. Configure before sharing across goroutines.
 func (sh *ShardedInstance) SetUseIndexes(v bool) {
 	sh.useIndexes = v
 	for _, s := range sh.shards {
@@ -108,16 +107,6 @@ func (sh *ShardedInstance) SetSimulatedLatency(d time.Duration) {
 	sh.latency = d
 	for _, s := range sh.shards {
 		s.SimulatedLatency = d
-	}
-}
-
-// SetDisableCompiledPlans routes queries through the seed evaluator on
-// the cross-shard path and on every shard (see
-// Instance.DisableCompiledPlans). Configure before sharing.
-func (sh *ShardedInstance) SetDisableCompiledPlans(v bool) {
-	sh.disablePlans = v
-	for _, s := range sh.shards {
-		s.DisableCompiledPlans = v
 	}
 }
 
@@ -259,14 +248,7 @@ func (sh *ShardedInstance) Contains(a eq.Atom) bool {
 // Solve answers the conjunctive query under choose-1 semantics (see
 // Instance.Solve). Counts as one query on the cross-shard counter.
 func (sh *ShardedInstance) Solve(body []eq.Atom) (Binding, bool, error) {
-	res, err := sh.solve(body, 1)
-	if err != nil {
-		return nil, false, err
-	}
-	if len(res) == 0 {
-		return nil, false, nil
-	}
-	return res[0], true, nil
+	return first(sh.solve(body, 1))
 }
 
 // SolveAll returns up to limit satisfying assignments (limit <= 0 means
@@ -275,15 +257,10 @@ func (sh *ShardedInstance) SolveAll(body []eq.Atom, limit int) ([]Binding, error
 	return sh.solve(body, limit)
 }
 
-// Satisfiable reports whether the body has at least one answer. On the
-// compiled path it runs the plan in existence mode: no binding is
-// materialised.
+// Satisfiable reports whether the body has at least one answer. It runs
+// the plan in existence mode: no binding is materialised.
 func (sh *ShardedInstance) Satisfiable(body []eq.Atom) (bool, error) {
 	sh.countQuery()
-	if sh.disablePlans {
-		res, err := sh.legacySolve(body, 1)
-		return len(res) > 0, err
-	}
 	p, err := sh.planFor(body, nil)
 	if err != nil {
 		return false, err
@@ -292,14 +269,10 @@ func (sh *ShardedInstance) Satisfiable(body []eq.Atom) (bool, error) {
 }
 
 // SolveUnder answers the body resolved under a substitution; like
-// Instance.SolveUnder, the compiled path resolves terms at bind time
-// instead of materialising a substituted body.
+// Instance.SolveUnder, the plan resolves terms at bind time instead of
+// materialising a substituted body.
 func (sh *ShardedInstance) SolveUnder(body []eq.Atom, s *unify.Subst) (Binding, bool, error) {
 	sh.countQuery()
-	if sh.disablePlans {
-		res, err := sh.legacySolve(s.ApplyAll(body), 1)
-		return first(res, err)
-	}
 	p, err := sh.planFor(body, s)
 	if err != nil {
 		return nil, false, err
@@ -313,27 +286,11 @@ func (sh *ShardedInstance) SolveUnder(body []eq.Atom, s *unify.Subst) (Binding, 
 // probed, so writers to those parts never wait on this query.
 func (sh *ShardedInstance) solve(body []eq.Atom, limit int) ([]Binding, error) {
 	sh.countQuery()
-	if sh.disablePlans {
-		return sh.legacySolve(body, limit)
-	}
 	p, err := sh.planFor(body, nil)
 	if err != nil {
 		return nil, err
 	}
 	return p.solve(body, nil, limit, sh.useIndexes), nil
-}
-
-// legacySolve is the seed cross-shard evaluation path (see
-// Instance.legacySolve).
-func (sh *ShardedInstance) legacySolve(body []eq.Atom, limit int) ([]Binding, error) {
-	views, unlock, err := sh.viewsFor(body)
-	if err != nil {
-		return nil, err
-	}
-	defer unlock()
-	e := &evaluator{useIndexes: sh.useIndexes, rels: views, body: body, limit: limit, bound: Binding{}}
-	e.run()
-	return e.results, nil
 }
 
 // planFor returns the compiled cross-shard plan for the body (resolved
@@ -398,89 +355,6 @@ func (sh *ShardedInstance) planValid(p *plan) bool {
 		}
 	}
 	return p.relsValid()
-}
-
-// shardRelInfo is the per-relation lock plan of one cross-shard query.
-type shardRelInfo struct {
-	parts  []*Relation
-	key    int
-	needed []bool // parts the query can reach and must therefore lock
-}
-
-// viewsFor validates the body, computes which shard parts each
-// relation's atoms can reach, read-locks exactly those parts in a
-// deterministic global order (relation name, then shard index — the
-// same total order a routed single-shard query follows), and returns
-// the evaluator views plus the matching unlock function.
-func (sh *ShardedInstance) viewsFor(body []eq.Atom) (map[string]relView, func(), error) {
-	k := len(sh.shards)
-	infos := map[string]*shardRelInfo{}
-	for _, a := range body {
-		info := infos[a.Rel]
-		if info == nil {
-			key, ok := sh.keyOf(a.Rel)
-			if !ok {
-				return nil, nil, fmt.Errorf("db: unknown relation %s", a.Rel)
-			}
-			parts := make([]*Relation, k)
-			for i, s := range sh.shards {
-				r, ok := s.Relation(a.Rel)
-				if !ok {
-					return nil, nil, fmt.Errorf("db: relation %s missing from shard %d", a.Rel, i)
-				}
-				parts[i] = r
-			}
-			info = &shardRelInfo{parts: parts, key: key, needed: make([]bool, k)}
-			infos[a.Rel] = info
-		}
-		if info.parts[0].Arity() != len(a.Args) {
-			return nil, nil, fmt.Errorf("db: atom %s has arity %d, relation has %d", a, len(a.Args), info.parts[0].Arity())
-		}
-		if t := a.Args[info.key]; !t.IsVar() {
-			// Constant hash column: the atom can only match tuples on the
-			// owning shard.
-			info.needed[shardIndex(t.Const(), k)] = true
-		} else {
-			// Variable hash column: even if a prior join step binds it at
-			// runtime, it may take values routing to any shard.
-			for i := range info.needed {
-				info.needed[i] = true
-			}
-		}
-	}
-
-	names := make([]string, 0, len(infos))
-	for n := range infos {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var locked []*Relation
-	for _, n := range names {
-		info := infos[n]
-		for i := 0; i < k; i++ {
-			if info.needed[i] {
-				info.parts[i].mu.RLock()
-				locked = append(locked, info.parts[i])
-			}
-		}
-	}
-	unlock := func() {
-		for _, r := range locked {
-			r.mu.RUnlock()
-		}
-	}
-	views := make(map[string]relView, len(infos))
-	for _, n := range names {
-		info := infos[n]
-		size := 0
-		for i, p := range info.parts {
-			if info.needed[i] {
-				size += len(p.tuples)
-			}
-		}
-		views[n] = relView{parts: info.parts, key: info.key, size: size}
-	}
-	return views, unlock, nil
 }
 
 // Route inspects a request's query set and, when every body atom pins

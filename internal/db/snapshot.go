@@ -1,6 +1,8 @@
 package db
 
 import (
+	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -67,10 +69,14 @@ func (in *Instance) Save(dir string) error {
 	return os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644)
 }
 
-// Load reads an instance previously written by Save. It builds the
-// instance through the ordinary CreateRelation/BuildIndex surface, so
-// the schema-version counters the compiled-plan cache validates
-// against are advanced exactly as for a hand-built instance.
+// Load reads an instance previously written by Save. Every value loads
+// back byte for byte (unlike LoadCSV, nothing is trimmed), and every
+// record must have the manifest's arity: only an empty relation file
+// yields an empty relation, and any other parse or field-count error is
+// returned. It builds the instance through the ordinary
+// CreateRelation/BuildIndex surface, so the schema-version counters the
+// compiled-plan cache validates against are advanced exactly as for a
+// hand-built instance.
 func Load(dir string) (*Instance, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
@@ -82,34 +88,44 @@ func Load(dir string) (*Instance, error) {
 	}
 	in := NewInstance()
 	for _, rm := range man.Relations {
-		f, err := os.Open(filepath.Join(dir, rm.File))
-		if err != nil {
+		if err := loadRelation(in, dir, rm); err != nil {
 			return nil, err
-		}
-		rel, err := in.LoadCSV(rm.Name, f)
-		f.Close()
-		if err != nil {
-			// An empty relation dumps an empty CSV, which LoadCSV
-			// rejects; recreate it structurally instead.
-			if len(rm.Attrs) > 0 {
-				rel = in.CreateRelation(rm.Name, rm.Attrs...)
-			} else {
-				return nil, err
-			}
-		}
-		if rel.Arity() != len(rm.Attrs) {
-			return nil, fmt.Errorf("db: %s: manifest declares %d attrs, CSV has %d", rm.Name, len(rm.Attrs), rel.Arity())
-		}
-		rel.Attrs = append([]string(nil), rm.Attrs...)
-		rel.mu.Lock()
-		rel.indexes = map[int]map[eq.Value][]int{}
-		rel.mu.Unlock()
-		for _, col := range rm.Indexes {
-			if col < 0 || col >= rel.Arity() {
-				return nil, fmt.Errorf("db: %s: index column %d out of range", rm.Name, col)
-			}
-			rel.BuildIndex(col)
 		}
 	}
 	return in, nil
+}
+
+// loadRelation reads one relation file written by Save into in.
+func loadRelation(in *Instance, dir string, rm relationManifest) error {
+	if len(rm.Attrs) == 0 {
+		return fmt.Errorf("db: %s: manifest declares no attributes", rm.Name)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, rm.File))
+	if err != nil {
+		return err
+	}
+	cr := csv.NewReader(bytes.NewReader(data))
+	cr.FieldsPerRecord = len(rm.Attrs)
+	rows, err := cr.ReadAll()
+	if err != nil {
+		return fmt.Errorf("db: %s: %w", rm.Name, err)
+	}
+	if len(rows) == 0 && len(data) > 0 {
+		return fmt.Errorf("db: %s: non-empty file holds no records", rm.Name)
+	}
+	rel := in.CreateRelation(rm.Name, rm.Attrs...)
+	vals := make([]eq.Value, len(rm.Attrs))
+	for _, row := range rows {
+		for i, c := range row {
+			vals[i] = eq.Value(c)
+		}
+		rel.Insert(vals...)
+	}
+	for _, col := range rm.Indexes {
+		if col < 0 || col >= rel.Arity() {
+			return fmt.Errorf("db: %s: index column %d out of range", rm.Name, col)
+		}
+		rel.BuildIndex(col)
+	}
+	return nil
 }

@@ -8,9 +8,40 @@ import (
 	"entangled/internal/eq"
 )
 
+// awkwardInstance holds values a CSV snapshot must carry byte for byte:
+// surrounding spaces, empty strings (including a unary tuple whose one
+// value is empty), separators, quotes, newlines, a lone carriage return
+// and bytes that are not UTF-8.
+func awkwardInstance() *Instance {
+	in := NewInstance()
+	p := in.CreateRelation("P", "a", "b")
+	p.Insert(" padded", "trailing ")
+	p.Insert("", "")
+	p.Insert("comma,quote\"", "new\nline")
+	p.Insert("lone\r", "\xff\xfe")
+	p.BuildIndex(0)
+	u := in.CreateRelation("U", "a")
+	u.Insert("")
+	u.Insert(" x ")
+	u.Insert("")
+	return in
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
+	for name, in := range map[string]*Instance{"flights": flightsInstance(), "awkward": awkwardInstance()} {
+		t.Run(name, func(t *testing.T) { checkSaveLoadRoundTrip(t, in) })
+	}
+	// A value CSV cannot carry (csv.Reader folds \r\n to \n) fails the
+	// save instead of loading back changed.
+	in := NewInstance()
+	in.CreateRelation("R", "a").Insert("cr\r\nlf")
+	if err := in.Save(t.TempDir()); err == nil {
+		t.Fatal("saving a value with \\r\\n must fail")
+	}
+}
+
+func checkSaveLoadRoundTrip(t *testing.T, in *Instance) {
 	dir := t.TempDir()
-	in := flightsInstance()
 	if err := in.Save(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +61,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		for i := 0; i < orig.Len(); i++ {
 			for j := range orig.Tuple(i) {
 				if got.Tuple(i)[j] != orig.Tuple(i)[j] {
-					t.Fatalf("%s tuple %d differs", name, i)
+					t.Fatalf("%s tuple %d differs: %q vs %q", name, i, got.Tuple(i), orig.Tuple(i))
 				}
 			}
 		}
@@ -41,12 +72,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Queries behave identically on the reloaded instance.
-	body := []eq.Atom{eq.NewAtom("Flights", eq.V("x"), eq.C("Zurich"))}
-	a, _ := in.SolveAll(body, 0)
-	b, _ := back.SolveAll(body, 0)
-	if len(a) != len(b) {
-		t.Fatalf("answers differ: %d vs %d", len(a), len(b))
+	// Queries behave identically on the reloaded instance: every
+	// relation's first tuple has the same number of matches.
+	for _, name := range in.RelationNames() {
+		orig, _ := in.Relation(name)
+		if orig.Len() == 0 {
+			continue
+		}
+		var args []eq.Term
+		for _, v := range orig.Tuple(0) {
+			args = append(args, eq.C(v))
+		}
+		body := []eq.Atom{eq.NewAtom(name, args...)}
+		a, _ := in.SolveAll(body, 0)
+		b, _ := back.SolveAll(body, 0)
+		if len(a) != len(b) {
+			t.Fatalf("%s: answers differ: %d vs %d", name, len(a), len(b))
+		}
 	}
 }
 
@@ -67,8 +109,9 @@ func TestSaveLoadPreservesIndexes(t *testing.T) {
 	if _, ok := rel.indexes[1]; !ok {
 		t.Fatal("index on column 1 must survive the round trip")
 	}
-	// LoadCSV indexes every column; the manifest narrows it back down —
-	// either way column 1 works through Solve.
+	if _, ok := rel.indexes[0]; ok {
+		t.Fatal("only the manifest's indexes are built")
+	}
 	bnd, ok, err := back.Solve([]eq.Atom{eq.NewAtom("R", eq.V("k"), eq.C("x"))})
 	if err != nil || !ok || bnd["k"] != "1" {
 		t.Fatalf("solve on reloaded index: %v %v %v", bnd, ok, err)
@@ -79,12 +122,31 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := Load(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing dir must fail")
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir); err == nil {
-		t.Fatal("bad manifest must fail")
+	const manifest = `{"relations":[{"name":"R","attrs":["a","b"],"file":"R.csv"}]}`
+	for _, tc := range []struct {
+		name     string
+		manifest string
+		csv      string
+	}{
+		{"bad manifest", "{", ""},
+		{"missing relation file", manifest, ""},
+		{"short record", manifest, "1,x\n2\n"},
+		{"long record", manifest, "1,x,y\n"},
+		{"bare quote", manifest, "1,\"x\n"},
+		{"blank lines only", manifest, "\n\n"},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(tc.manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if tc.csv != "" {
+			if err := os.WriteFile(filepath.Join(dir, "R.csv"), []byte(tc.csv), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if in, err := Load(dir); err == nil {
+			t.Fatalf("%s: Load must fail, loaded %v", tc.name, in.Schema())
+		}
 	}
 }
 

@@ -3,8 +3,10 @@
 # machine-readable trajectory point.
 #
 # Usage:
-#   scripts/bench.sh                 # writes BENCH_PR10.json
-#   OUT=out.json scripts/bench.sh    # custom output path
+#   scripts/bench.sh                 # writes bench.out.json (untracked)
+#   OUT=BENCH_PRn.json scripts/bench.sh
+#                                    # custom output path, e.g. a new
+#                                    # committed trajectory point
 #   BASELINE=old.json scripts/bench.sh
 #                                    # embed an earlier run for before/after
 #   PATTERN='BenchmarkSolveCompiled' BENCHTIME=0.5s COUNT=3 scripts/bench.sh
@@ -19,7 +21,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${OUT:-BENCH_PR10.json}"
+OUT="${OUT:-bench.out.json}"
 PATTERN="${PATTERN:-BenchmarkFigure4List|BenchmarkAblationIndexes|BenchmarkParallelCoordinateMany|BenchmarkSolveCompiled|BenchmarkStream|BenchmarkServer|BenchmarkWAL|BenchmarkWire|BenchmarkCluster|BenchmarkAdmission}"
 BENCHTIME="${BENCHTIME:-1s}"
 COUNT="${COUNT:-1}"
